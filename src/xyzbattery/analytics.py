@@ -14,13 +14,14 @@ from typing import Callable
 
 import numpy as np
 
-from .charging import ChargingSpec, WorkSeries, stored_work, work_series
+from .charging import MODES, ChargingSpec, WorkSeries, work_curve
 from .model import SpinParams, UnsupportedClosedFormError, eta_value, sinhc
 
 B_COEFF_ZERO_TOL = 1e-14
 GRID_POINTS_PER_PERIOD = 100_000
 GRID_VALUE_TOL = 1e-8
 _REFINE_PHASE_TOL = 1e-8
+ORACLE_PEAK_SAMPLES = 2048
 
 BRANCH_MAX1 = "max1"
 BRANCH_MAX2 = "max2"
@@ -322,10 +323,9 @@ def consistency_report(
     period = 2.0 * math.pi / spec.omega
     half_period = math.pi / spec.omega
     fits = []
-    for mode in ("charging_only", "full"):
-        mode_spec = ChargingSpec(omega=spec.omega, mode=mode)
-        series = work_series(p, mode_spec, t_max=period, n=samples)
-        fit = harmonic_fit(series)
+    for mode in MODES:
+        curve = work_curve(p, ChargingSpec(omega=spec.omega, mode=mode))
+        fit = harmonic_fit(curve.series(t_max=period, n=samples))
         a_fitted = -fit.alpha1
         b_fitted = -fit.alpha2
         fits.append(
@@ -337,7 +337,7 @@ def consistency_report(
                 residual=fit.residual,
                 ratio_a=_ratio(coeffs.a, a_fitted),
                 ratio_b=_ratio(coeffs.b, b_fitted),
-                w_half_period_oracle=stored_work(p, mode_spec, half_period),
+                w_half_period_oracle=curve(half_period),
             )
         )
     return ConsistencyReport(
@@ -348,3 +348,21 @@ def consistency_report(
         w_half_period_closed=closed_form_work(coeffs, spec.omega, half_period),
         fits=tuple(fits),
     )
+
+
+def oracle_peak(p: SpinParams, spec: ChargingSpec) -> float:
+    """Largest stored work of the dynamics over one drive period.
+
+    Samples the oracle curve at ORACLE_PEAK_SAMPLES evenly spaced times in
+    one call and refines the best one by golden section down to 1e-9 of a
+    period.
+    """
+    period = 2.0 * math.pi / spec.omega
+    work = work_curve(p, spec)
+    times = np.linspace(0.0, period, ORACLE_PEAK_SAMPLES, endpoint=False)
+    values = work(times)
+    k = int(np.argmax(values))
+    step = period / ORACLE_PEAK_SAMPLES
+    _, peak = _golden_max(work, times[k] - step, times[k] + step,
+                          tol=1e-9 * period)
+    return max(peak, float(values[k]))

@@ -30,10 +30,10 @@ from .analytics import (
     closed_form_work,
     consistency_report,
     max_work,
+    oracle_peak,
     work_coefficients,
-    _golden_max,
 )
-from .charging import ChargingSpec, work_series, _work_function
+from .charging import ChargingSpec, work_series
 from .linalg import hermitian_eig
 from .model import (
     SpinParams,
@@ -345,19 +345,6 @@ def _cmd_maxwork(ns) -> int:
     return _emit(ns, "maxwork", MAXWORK_COLUMNS, rows, _params_echo(p, charging))
 
 
-def _oracle_peak(p: SpinParams, charging: ChargingSpec, samples: int = 2048) -> float:
-    """Dense-sample the oracle work over one period and refine the peak."""
-    period = 2.0 * math.pi / charging.omega
-    work = _work_function(p, charging)
-    times = np.linspace(0.0, period, samples, endpoint=False)
-    values = np.array([work(t) for t in times])
-    k = int(np.argmax(values))
-    step = period / samples
-    _, peak = _golden_max(work, times[k] - step, times[k] + step,
-                          tol=1e-9 * period)
-    return max(peak, float(values[k]))
-
-
 def _sweep_row(axis: str, value: float, p: SpinParams, charging: ChargingSpec,
                quantity: str) -> list:
     if axis == "omega":
@@ -376,7 +363,7 @@ def _sweep_row(axis: str, value: float, p: SpinParams, charging: ChargingSpec,
         except FlatSignalError:
             pass
     elif quantity == "w_series_peak_oracle":
-        w_max = _oracle_peak(p, charging)
+        w_max = oracle_peak(p, charging)
     return [axis, value, p.J, p.Jz, p.gamma, p.B, charging.omega,
             branch, w_max, w_m, c.a, c.b, c.x]
 
@@ -406,6 +393,8 @@ def _cmd_sweep(ns) -> int:
         raise CliUsageError("sweep quantities use the closed form; beta must be 1")
     values = np.linspace(start, stop, steps)
     jobs = _resolve_int(ns, "jobs", os.cpu_count() or 1)
+    if jobs < 1:
+        raise CliUsageError(f"--jobs must be >= 1, got {jobs}")
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(
@@ -633,10 +622,7 @@ def main(argv=None) -> int:
     try:
         ns._config = _load_config(ns.config) if getattr(ns, "config", None) else {}
         return _HANDLERS[ns.command](ns)
-    except CliUsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, UnsupportedClosedFormError) as exc:
+    except (CliUsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - exit-code contract

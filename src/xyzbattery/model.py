@@ -20,6 +20,12 @@ DEGENERATE_CORNER_TOL = 1e-12
 # eta below this evaluates sinh(eta)/eta by its series limit
 SINHC_SERIES_TOL = 1e-8
 
+# two-spin operators of the battery Hamiltonian, built once
+_XX = tensor(SIGMA_X, SIGMA_X)
+_YY = tensor(SIGMA_Y, SIGMA_Y)
+_ZZ = tensor(SIGMA_Z, SIGMA_Z)
+_Z_TOTAL = tensor(SIGMA_Z, IDENTITY_2) + tensor(IDENTITY_2, SIGMA_Z)
+
 
 class UnsupportedClosedFormError(ValueError):
     """The closed-form thermal expressions are specific to beta = 1."""
@@ -108,17 +114,14 @@ def build_spin_hamiltonian(p: SpinParams) -> np.ndarray:
     """Exchange part: (J/2)[(1+gamma) XX + (1-gamma) YY] + (Jz/2) ZZ."""
     return (
         (p.J / 2.0)
-        * (
-            (1.0 + p.gamma) * tensor(SIGMA_X, SIGMA_X)
-            + (1.0 - p.gamma) * tensor(SIGMA_Y, SIGMA_Y)
-        )
-        + (p.Jz / 2.0) * tensor(SIGMA_Z, SIGMA_Z)
+        * ((1.0 + p.gamma) * _XX + (1.0 - p.gamma) * _YY)
+        + (p.Jz / 2.0) * _ZZ
     )
 
 
 def build_field_hamiltonian(p: SpinParams) -> np.ndarray:
     """Uniform z field: (B/2)(Z1 + Z2) = diag(B, 0, 0, -B)."""
-    return (p.B / 2.0) * (tensor(SIGMA_Z, IDENTITY_2) + tensor(IDENTITY_2, SIGMA_Z))
+    return (p.B / 2.0) * _Z_TOTAL
 
 
 def build_total_hamiltonian(p: SpinParams) -> np.ndarray:

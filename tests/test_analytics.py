@@ -21,9 +21,10 @@ from xyzbattery.analytics import (
     harmonic_fit,
     large_B_asymptote,
     max_work,
+    oracle_peak,
     work_coefficients,
 )
-from xyzbattery.charging import ChargingSpec, WorkSeries, work_series
+from xyzbattery.charging import MODES, ChargingSpec, WorkSeries, work_curve, work_series
 from xyzbattery.model import (
     SpinParams,
     UnsupportedClosedFormError,
@@ -301,3 +302,22 @@ class TestConsistencyReport:
         assert report.a_printed == 0.0
         drive = {fit.mode: fit for fit in report.fits}["charging_only"]
         assert abs(drive.a_fitted) < 1e-10
+
+
+class TestOraclePeak:
+    def test_fig1_drive_only_peak(self):
+        # frozen: 50-digit 2*B^2*sinh(eta)/d, the drive-only maximum at t = pi
+        peak = oracle_peak(FIG1_PARAMS, ChargingSpec(omega=1.0))
+        assert abs(peak - 0.84228602680284486539) < 1e-9
+
+    def test_matches_dense_sampling_in_both_modes(self):
+        rng = np.random.default_rng(211)
+        for _ in range(10):
+            p = draw_params(rng)
+            omega = rng.uniform(0.25, 3.0)
+            for mode in MODES:
+                spec = ChargingSpec(omega=omega, mode=mode)
+                dense = work_curve(p, spec).series(2.0 * math.pi / omega, 200_001)
+                peak = oracle_peak(p, spec)
+                assert peak >= np.max(dense.values) - 1e-12
+                assert peak - np.max(dense.values) < 1e-8 * max(1.0, peak)

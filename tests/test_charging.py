@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from conftest import FIG1_PARAMS, draw_params, expm_taylor, random_density
-from xyzbattery.analytics import harmonic_fit
+from xyzbattery.analytics import harmonic_fit, work_coefficients
 from xyzbattery.charging import (
+    MODES,
+    TIME_CHUNK,
     ChargingSpec,
     build_charging_hamiltonian,
     ergotropy,
@@ -17,6 +19,7 @@ from xyzbattery.charging import (
     passive_state,
     propagator,
     stored_work,
+    work_curve,
     work_series,
 )
 from xyzbattery.linalg import (
@@ -161,6 +164,89 @@ class TestStoredWork:
             delta = stored_work(FIG1_PARAMS, SPEC_1, t) - stored_work(
                 FIG1_PARAMS, SPEC_1, t + period)
             assert abs(delta) < 1e-10
+
+
+def curve_draws(rng, box=80, per_edge=10):
+    """Box draws plus the edge cases, each paired with a drive strength.
+
+    Edges: |gamma*J| ~ 1e-13 (diagonal corner block), eta ~ 1e-9, B < 0, and
+    the double-peak branch with b < 0.
+    """
+    draws = [draw_params(rng) for _ in range(box)]
+    for _ in range(per_edge):
+        p = draw_params(rng)
+        draws.append(SpinParams(J=p.J, Jz=p.Jz, gamma=rng.uniform(-1, 1) * 1e-13, B=p.B))
+        draws.append(SpinParams(J=p.J, Jz=p.Jz, gamma=rng.uniform(-1, 1) * 1e-10,
+                                B=rng.uniform(-1, 1) * 1e-9))
+        draws.append(SpinParams(J=p.J, Jz=p.Jz, gamma=p.gamma, B=-rng.uniform(0.1, 5.0)))
+        while True:
+            c = work_coefficients(p)
+            if c.b < 0 and abs(c.a) <= 4.0 * abs(c.b):
+                break
+            p = draw_params(rng)
+        draws.append(p)
+    return [(p, rng.uniform(0.25, 3.0)) for p in draws]
+
+
+class TestWorkCurve:
+    def test_matches_propagated_oracle(self):
+        rng = np.random.default_rng(101)
+        for p, omega in curve_draws(rng):
+            h = build_total_hamiltonian(p)
+            rho0 = gibbs_state(p)
+            e0 = expectation(h, rho0)
+            times = rng.uniform(0.0, 4.0 * math.pi / omega, 5)
+            for mode in MODES:
+                spec = ChargingSpec(omega=omega, mode=mode)
+                values = work_curve(p, spec)(times)
+                for t, w in zip(times, values):
+                    expected = expectation(h, evolve(rho0, propagator(p, spec, t))) - e0
+                    assert abs(w - expected) <= 1e-12 * max(1.0, abs(expected))
+
+    def test_exactly_zero_at_start(self):
+        rng = np.random.default_rng(103)
+        times = rng.uniform(0.0, 10.0, TIME_CHUNK + 40)
+        times[[0, 7, TIME_CHUNK + 3]] = 0.0
+        for p, omega in curve_draws(rng):
+            for mode in MODES:
+                curve = work_curve(p, ChargingSpec(omega=omega, mode=mode))
+                assert curve(0.0) == 0.0
+                values = curve(times)
+                assert values[0] == values[7] == values[TIME_CHUNK + 3] == 0.0
+
+    def test_scalar_and_array_agree(self):
+        rng = np.random.default_rng(107)
+        for p, omega in curve_draws(rng):
+            times = rng.uniform(0.0, 4.0 * math.pi / omega, 7)
+            for mode in MODES:
+                curve = work_curve(p, ChargingSpec(omega=omega, mode=mode))
+                scalars = [curve(float(t)) for t in times]
+                assert all(isinstance(w, float) for w in scalars)
+                assert np.array_equal(curve(times), scalars)
+                assert curve(times.reshape(7, 1)).shape == (7, 1)
+
+    def test_chunks_match_one_call(self):
+        rng = np.random.default_rng(109)
+        times = np.linspace(0.0, 30.0, 2 * TIME_CHUNK + 37)
+        for p, omega in curve_draws(rng):
+            for mode in MODES:
+                curve = work_curve(p, ChargingSpec(omega=omega, mode=mode))
+                pieces = np.concatenate([curve(times[i:i + 100])
+                                         for i in range(0, times.size, 100)])
+                assert np.array_equal(curve(times), pieces)
+
+    def test_rejects_non_finite_time(self):
+        rng = np.random.default_rng(113)
+        for p, omega in curve_draws(rng, box=95, per_edge=2):
+            for mode in MODES:
+                spec = ChargingSpec(omega=omega, mode=mode)
+                curve = work_curve(p, spec)
+                bad = [math.nan, math.inf, -math.inf]
+                for t in bad + [np.array([1.0, bad[rng.integers(3)], 2.0])]:
+                    with pytest.raises(ValueError):
+                        curve(t)
+                with pytest.raises(ValueError):
+                    stored_work(p, spec, math.inf)
 
 
 class TestWorkSeries:

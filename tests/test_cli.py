@@ -217,6 +217,16 @@ class TestSweepCommand:
             "--steps", "3", "--quantity", "power", *FIG1_FLAGS)
         assert code == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_nonpositive_jobs_rejected(self, capsys, jobs):
+        code, out, err = run_cli(
+            capsys, "sweep", "--axis", "B", "--start", "1", "--stop", "5",
+            "--steps", "3", "--quantity", "w_max_printed",
+            "--J", "0.2", "--Jz", "0.2", "--gamma", "0.5", "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--jobs" in err
+
     def test_parallel_matches_serial(self, capsys):
         args = ("sweep", "--axis", "B", "--start", "1", "--stop", "5",
                 "--steps", "9", "--quantity", "w_max_printed",
