@@ -19,6 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -77,12 +78,6 @@ _MODE_TO_CLI = {"charging_only": "charging-only", "full": "full"}
 
 FIGURE1_PARAMS = {"J": 0.2, "Jz": 0.2, "gamma": 0.5, "B": 1.0, "beta": 1.0}
 FIGURE1_OMEGAS = (1.0, 0.7, 0.3)
-
-_CONFIG_KEYS = {
-    "J", "Jz", "gamma", "B", "beta", "omega", "t_max", "samples", "mode",
-    "out", "format", "jobs", "axis", "start", "stop", "steps", "quantity",
-    "omegas", "B_values", "B_start", "B_stop", "gamma_start", "gamma_stop",
-}
 
 
 class CliUsageError(Exception):
@@ -156,46 +151,22 @@ def _emit(ns, command: str, columns, rows, parameters: dict) -> int:
 
 
 # ---------------------------------------------------------------------------
-# settings resolution: explicit flags > config file > built-in defaults
+# settings: argparse holds every value, config-file values included
 
 
-def _load_config(path: str) -> dict:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliUsageError(f"cannot read config file {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise CliUsageError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(raw) - _CONFIG_KEYS)
-    if unknown:
-        raise CliUsageError(f"unknown config keys: {', '.join(unknown)}")
-    return raw
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
 
 
 def _resolve(ns, key, default=None):
     value = getattr(ns, key, None)
-    if value is not None:
-        return value
-    config = getattr(ns, "_config", None) or {}
-    if config.get(key) is not None:
-        return config[key]
-    return default
-
-
-def _resolve_float(ns, key, default=None):
-    value = _resolve(ns, key, default)
-    return None if value is None else float(value)
-
-
-def _resolve_int(ns, key, default=None):
-    value = _resolve(ns, key, default)
-    return None if value is None else int(value)
+    return default if value is None else value
 
 
 def _require(ns, keys, context: str) -> None:
     missing = [k for k in keys if _resolve(ns, k) is None]
     if missing:
-        flags = ", ".join("--" + k.replace("_", "-") for k in missing)
+        flags = ", ".join(_flag(k) for k in missing)
         raise CliUsageError(f"{context} requires explicit values for: {flags}")
 
 
@@ -203,24 +174,16 @@ def _build_params(ns, skip=(), defaults=None) -> SpinParams:
     defaults = defaults or {}
     _require(ns, [k for k in ("J", "Jz", "gamma", "B")
                   if k not in skip and k not in defaults], "this command")
-    kwargs = {}
-    for key in ("J", "Jz", "gamma", "B"):
-        value = _resolve_float(ns, key)
-        if value is None:
-            value = defaults.get(key, 0.0)  # 0.0 only for the swept axis
-        kwargs[key] = value
-    kwargs["beta"] = _resolve_float(ns, "beta", defaults.get("beta", 1.0))
+    # 0.0 only for the swept axis
+    kwargs = {key: _resolve(ns, key, defaults.get(key, 0.0))
+              for key in ("J", "Jz", "gamma", "B")}
+    kwargs["beta"] = _resolve(ns, "beta", defaults.get("beta", 1.0))
     return SpinParams(**kwargs)
 
 
 def _build_charging(ns) -> ChargingSpec:
-    omega = _resolve_float(ns, "omega", 1.0)
-    mode_token = _resolve(ns, "mode", "charging-only")
-    mode = _MODE_FROM_CLI.get(mode_token, mode_token)
-    try:
-        return ChargingSpec(omega=omega, mode=mode)
-    except ValueError as exc:
-        raise CliUsageError(str(exc)) from exc
+    return ChargingSpec(omega=_resolve(ns, "omega", 1.0),
+                        mode=_MODE_FROM_CLI[_resolve(ns, "mode", "charging-only")])
 
 
 def _params_echo(p: SpinParams, charging: ChargingSpec | None = None) -> dict:
@@ -284,10 +247,7 @@ def _cmd_gibbs(ns) -> int:
 
 def _cmd_coeffs(ns) -> int:
     p = _build_params(ns)
-    try:
-        c = work_coefficients(p)
-    except UnsupportedClosedFormError as exc:
-        raise CliUsageError(str(exc)) from exc
+    c = work_coefficients(p)
     rows = [[c.a, c.b, c.b1, c.b2, c.b3, c.d, c.x, classify_branch(c),
              p.J, p.Jz, p.gamma, p.B, p.beta]]
     return _emit(ns, "coeffs", COEFFS_COLUMNS, rows, _params_echo(p))
@@ -296,21 +256,13 @@ def _cmd_coeffs(ns) -> int:
 def _cmd_work(ns) -> int:
     p = _build_params(ns)
     charging = _build_charging(ns)
-    samples = _resolve_int(ns, "samples", 201)
+    samples = _resolve(ns, "samples", 201)
     if samples < 2:
         raise CliUsageError(f"--samples must be >= 2, got {samples}")
-    t_max = _resolve_float(ns, "t_max", 2.0 * math.pi / charging.omega)
+    t_max = _resolve(ns, "t_max", 2.0 * math.pi / charging.omega)
     if t_max <= 0:
         raise CliUsageError(f"--t-max must be positive, got {t_max}")
-    try:
-        coeffs = work_coefficients(p)
-    except UnsupportedClosedFormError as exc:
-        raise CliUsageError(str(exc)) from exc
-    series = work_series(p, charging, t_max=t_max, n=samples)
-    closed = closed_form_work(coeffs, charging.omega, series.times)
-    mode_token = _MODE_TO_CLI[charging.mode]
-    rows = [[t, w_closed, w_oracle, mode_token, charging.omega]
-            for t, w_closed, w_oracle in zip(series.times, closed, series.values)]
+    rows = _work_curve_rows(p, charging, t_max, samples)
     echo = _params_echo(p, charging)
     echo.update({"t_max": t_max, "samples": samples})
     return _emit(ns, "work", WORK_COLUMNS, rows, echo)
@@ -320,10 +272,7 @@ def _cmd_maxwork(ns) -> int:
     p = _build_params(ns)
     charging = _build_charging(ns)
     omega = charging.omega
-    try:
-        c = work_coefficients(p)
-    except UnsupportedClosedFormError as exc:
-        raise CliUsageError(str(exc)) from exc
+    c = work_coefficients(p)
     asymptote = 8.0 * p.B if p.B > 0 else math.nan
     try:
         ext = max_work(c, omega)
@@ -369,18 +318,10 @@ def _sweep_row(axis: str, value: float, p: SpinParams, charging: ChargingSpec,
 
 
 def _cmd_sweep(ns) -> int:
-    axis = _resolve(ns, "axis")
-    quantity = _resolve(ns, "quantity")
+    axis, quantity = ns.axis, ns.quantity
     if axis is None or quantity is None:
         raise CliUsageError("sweep requires --axis and --quantity")
-    if axis not in SWEEP_AXES:
-        raise CliUsageError(f"unknown axis {axis!r}; expected one of {SWEEP_AXES}")
-    if quantity not in SWEEP_QUANTITIES:
-        raise CliUsageError(
-            f"unknown quantity {quantity!r}; expected one of {SWEEP_QUANTITIES}")
-    start = _resolve_float(ns, "start")
-    stop = _resolve_float(ns, "stop")
-    steps = _resolve_int(ns, "steps")
+    start, stop, steps = ns.start, ns.stop, ns.steps
     if start is None or stop is None or steps is None:
         raise CliUsageError("sweep requires --start, --stop, and --steps")
     if steps < 2:
@@ -392,7 +333,7 @@ def _cmd_sweep(ns) -> int:
     if p.beta != 1.0:
         raise CliUsageError("sweep quantities use the closed form; beta must be 1")
     values = np.linspace(start, stop, steps)
-    jobs = _resolve_int(ns, "jobs", os.cpu_count() or 1)
+    jobs = _resolve(ns, "jobs", os.cpu_count() or 1)
     if jobs < 1:
         raise CliUsageError(f"--jobs must be >= 1, got {jobs}")
     if jobs > 1:
@@ -436,92 +377,78 @@ def _figure_bundle(ns, figure_id: int, parameters: dict,
     return 0
 
 
+def _figure1(ns) -> int:
+    p = _build_params(ns, defaults=FIGURE1_PARAMS)
+    charging = _build_charging(ns)
+    omegas = _resolve(ns, "omegas", FIGURE1_OMEGAS)
+    samples = _resolve(ns, "samples", 1001)
+    t_max = _resolve(ns, "t_max", 2.0 * 2.0 * math.pi / min(omegas))
+    files = [(f"figure1_omega{omega:g}", WORK_COLUMNS,
+              _work_curve_rows(p, replace(charging, omega=omega), t_max, samples))
+             for omega in omegas]
+    echo = _params_echo(p)
+    echo.update({"omegas": list(omegas), "t_max": t_max,
+                 "samples": samples, "mode": _MODE_TO_CLI[charging.mode]})
+    return _figure_bundle(ns, 1, echo, files)
+
+
+def _figure3(ns) -> int:
+    _require(ns, ("J", "Jz", "gamma", "omega", "B_values"), "figure 3")
+    charging = _build_charging(ns)
+    samples = _resolve(ns, "samples", 1001)
+    t_max = _resolve(ns, "t_max", 2.0 * 2.0 * math.pi / charging.omega)
+    p = _build_params(ns, skip=("B",))
+    files = [(f"figure3_B{b:g}", WORK_COLUMNS,
+              _work_curve_rows(replace(p, B=b), charging, t_max, samples))
+             for b in ns.B_values]
+    echo = {"J": p.J, "Jz": p.Jz, "gamma": p.gamma, "beta": p.beta,
+            "B_values": list(ns.B_values), "omega": charging.omega, "t_max": t_max,
+            "samples": samples, "mode": _MODE_TO_CLI[charging.mode]}
+    return _figure_bundle(ns, 3, echo, files)
+
+
+def _figure4(ns) -> int:
+    _require(ns, ("J", "Jz", "B_values"), "figure 4")
+    gamma_start = _resolve(ns, "gamma_start", -1.0)
+    gamma_stop = _resolve(ns, "gamma_stop", 1.0)
+    steps = _resolve(ns, "steps", 101)
+    charging = _build_charging(ns)
+    p = _build_params(ns, skip=("B", "gamma"))
+    files = [(f"figure4_B{b:g}", SWEEP_COLUMNS,
+              [_sweep_row("gamma", float(g), replace(p, B=b), charging, "w_max_printed")
+               for g in np.linspace(gamma_start, gamma_stop, steps)])
+             for b in ns.B_values]
+    echo = {"J": p.J, "Jz": p.Jz, "B_values": list(ns.B_values),
+            "gamma_start": gamma_start, "gamma_stop": gamma_stop, "steps": steps,
+            "omega": charging.omega}
+    return _figure_bundle(ns, 4, echo, files)
+
+
+def _figure5(ns) -> int:
+    _require(ns, ("J", "Jz", "gamma", "B_start", "B_stop"), "figure 5")
+    b_start, b_stop = ns.B_start, ns.B_stop
+    steps = _resolve(ns, "steps", 101)
+    if not b_start < b_stop:
+        raise CliUsageError(f"need --B-start < --B-stop, got {b_start} and {b_stop}")
+    charging = _build_charging(ns)
+    p = _build_params(ns, skip=("B",))
+    rows = [_sweep_row("B", float(b), p, charging, "w_max_printed")
+            for b in np.linspace(b_start, b_stop, steps)]
+    echo = {"J": p.J, "Jz": p.Jz, "gamma": p.gamma, "B_start": b_start,
+            "B_stop": b_stop, "steps": steps, "omega": charging.omega}
+    return _figure_bundle(ns, 5, echo, [("figure5", SWEEP_COLUMNS, rows)])
+
+
 def _cmd_figure(ns) -> int:
-    figure_id = ns.id
-    mode_token = _resolve(ns, "mode", "charging-only")
-    mode = _MODE_FROM_CLI.get(mode_token, mode_token)
-
-    if figure_id == 1:
-        p = _build_params(ns, defaults=FIGURE1_PARAMS)
-        omegas = _resolve(ns, "omegas") or FIGURE1_OMEGAS
-        samples = _resolve_int(ns, "samples", 1001)
-        t_max = _resolve_float(ns, "t_max", 2.0 * 2.0 * math.pi / min(omegas))
-        files = []
-        for omega in omegas:
-            charging = ChargingSpec(omega=omega, mode=mode)
-            rows = _work_curve_rows(p, charging, t_max, samples)
-            files.append((f"figure1_omega{omega:g}", WORK_COLUMNS, rows))
-        echo = _params_echo(p)
-        echo.update({"omegas": list(omegas), "t_max": t_max,
-                     "samples": samples, "mode": mode_token})
-        return _figure_bundle(ns, 1, echo, files)
-
-    if figure_id == 3:
-        _require(ns, ("J", "Jz", "gamma", "omega", "B_values"), "figure 3")
-        b_values = _resolve(ns, "B_values")
-        omega = _resolve_float(ns, "omega")
-        charging = ChargingSpec(omega=omega, mode=mode)
-        samples = _resolve_int(ns, "samples", 1001)
-        t_max = _resolve_float(ns, "t_max", 2.0 * 2.0 * math.pi / omega)
-        files = []
-        for b in b_values:
-            p = replace(_build_params(ns, skip=("B",)), B=float(b))
-            rows = _work_curve_rows(p, charging, t_max, samples)
-            files.append((f"figure3_B{b:g}", WORK_COLUMNS, rows))
-        echo = {"J": _resolve_float(ns, "J"), "Jz": _resolve_float(ns, "Jz"),
-                "gamma": _resolve_float(ns, "gamma"), "beta": _resolve_float(ns, "beta", 1.0),
-                "B_values": list(b_values), "omega": omega, "t_max": t_max,
-                "samples": samples, "mode": mode_token}
-        return _figure_bundle(ns, 3, echo, files)
-
-    if figure_id == 4:
-        _require(ns, ("J", "Jz", "B_values"), "figure 4")
-        b_values = _resolve(ns, "B_values")
-        gamma_start = _resolve_float(ns, "gamma_start", -1.0)
-        gamma_stop = _resolve_float(ns, "gamma_stop", 1.0)
-        steps = _resolve_int(ns, "steps", 101)
-        if steps < 2:
-            raise CliUsageError(f"--steps must be >= 2, got {steps}")
-        charging = _build_charging(ns)
-        files = []
-        for b in b_values:
-            p = replace(_build_params(ns, skip=("B", "gamma")), B=float(b))
-            rows = [_sweep_row("gamma", float(g), p, charging, "w_max_printed")
-                    for g in np.linspace(gamma_start, gamma_stop, steps)]
-            files.append((f"figure4_B{b:g}", SWEEP_COLUMNS, rows))
-        echo = {"J": _resolve_float(ns, "J"), "Jz": _resolve_float(ns, "Jz"),
-                "B_values": list(b_values), "gamma_start": gamma_start,
-                "gamma_stop": gamma_stop, "steps": steps,
-                "omega": charging.omega}
-        return _figure_bundle(ns, 4, echo, files)
-
-    if figure_id == 5:
-        _require(ns, ("J", "Jz", "gamma", "B_start", "B_stop"), "figure 5")
-        b_start = _resolve_float(ns, "B_start")
-        b_stop = _resolve_float(ns, "B_stop")
-        steps = _resolve_int(ns, "steps", 101)
-        if steps < 2:
-            raise CliUsageError(f"--steps must be >= 2, got {steps}")
-        if not b_start < b_stop:
-            raise CliUsageError(f"need --B-start < --B-stop, got {b_start} and {b_stop}")
-        charging = _build_charging(ns)
-        p = _build_params(ns, skip=("B",))
-        rows = [_sweep_row("B", float(b), p, charging, "w_max_printed")
-                for b in np.linspace(b_start, b_stop, steps)]
-        echo = {"J": p.J, "Jz": p.Jz, "gamma": p.gamma, "B_start": b_start,
-                "B_stop": b_stop, "steps": steps, "omega": charging.omega}
-        return _figure_bundle(ns, 5, echo, [("figure5", SWEEP_COLUMNS, rows)])
-
-    raise CliUsageError(f"unknown figure id {figure_id}")
+    if ns.steps is not None and ns.steps < 2:
+        raise CliUsageError(f"--steps must be >= 2, got {ns.steps}")
+    return FIGURES[ns.id].handler(ns)
 
 
 def _cmd_report(ns) -> int:
     p = _build_params(ns)
     charging = _build_charging(ns)
-    try:
-        report = consistency_report(p, charging)
-    except UnsupportedClosedFormError as exc:
-        raise CliUsageError(str(exc)) from exc
+    report = consistency_report(p, charging)
     rows = []
     for fit in report.fits:
         rows.append([
@@ -534,27 +461,85 @@ def _cmd_report(ns) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the command table: each command and figure id lists the flags it reads;
+# the parser, the dispatch and the config keys are all derived from it
+
+# flag destination -> add_argument keywords; the flag is _flag(destination)
+FLAGS = {
+    "J": {"type": float, "help": "in-plane coupling strength"},
+    "Jz": {"type": float, "help": "z-axis coupling strength"},
+    "gamma": {"type": float, "help": "in-plane anisotropy"},
+    "B": {"type": float, "help": "magnetic field strength"},
+    "beta": {"type": float, "help": "inverse temperature (default 1)"},
+    "omega": {"type": float, "help": "drive strength (default 1)"},
+    "t_max": {"type": float, "help": "time-series end (default: one drive period)"},
+    "samples": {"type": int, "help": "time-series sample count"},
+    "mode": {"choices": sorted(_MODE_FROM_CLI),
+             "help": "propagation mode (default charging-only)"},
+    "out": {"help": "write output here (figure: directory)"},
+    "format": {"choices": ("csv", "json"), "help": "output format (default csv)"},
+    "config": {"help": "JSON file of flag values; explicit flags override it"},
+    "jobs": {"type": int, "help": "parallel sweep workers (default: cpu count)"},
+    "axis": {"choices": SWEEP_AXES},
+    "start": {"type": float},
+    "stop": {"type": float},
+    "steps": {"type": int},
+    "quantity": {"choices": SWEEP_QUANTITIES},
+    "omegas": {"type": _float_list, "help": "comma-separated drive strengths"},
+    "B_values": {"type": _float_list, "help": "comma-separated field strengths"},
+    "B_start": {"type": float},
+    "B_stop": {"type": float},
+    "gamma_start": {"type": float},
+    "gamma_stop": {"type": float},
+}
+
+_PARAMS = ("J", "Jz", "gamma", "B", "beta")
+_OUTPUT = ("out", "format", "config")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--J", type=float, help="in-plane coupling strength")
-    parser.add_argument("--Jz", type=float, help="z-axis coupling strength")
-    parser.add_argument("--gamma", type=float, help="in-plane anisotropy")
-    parser.add_argument("--B", type=float, help="magnetic field strength")
-    parser.add_argument("--beta", type=float, help="inverse temperature (default 1)")
-    parser.add_argument("--omega", type=float, help="drive strength (default 1)")
-    parser.add_argument("--t-max", dest="t_max", type=float,
-                        help="time-series end (default: one drive period)")
-    parser.add_argument("--samples", type=int, help="time-series sample count")
-    parser.add_argument("--mode", choices=sorted(_MODE_FROM_CLI),
-                        help="propagation mode (default charging-only)")
-    parser.add_argument("--out", help="write output here (figure: directory)")
-    parser.add_argument("--format", choices=("csv", "json"),
-                        help="output format (default csv)")
-    parser.add_argument("--config", help="JSON file mirroring the flag names")
-    parser.add_argument("--jobs", type=int,
-                        help="parallel sweep workers (default: cpu count)")
+class Command(NamedTuple):
+    """One command or figure id: its handler and the flag destinations it reads."""
+
+    handler: Callable[[argparse.Namespace], int]
+    flags: tuple[str, ...]
+    help: str = ""
+
+
+FIGURES = {
+    1: Command(_figure1, _PARAMS + ("omegas", "t_max", "samples", "mode") + _OUTPUT),
+    3: Command(_figure3, ("J", "Jz", "gamma", "beta", "omega", "B_values", "t_max",
+                          "samples", "mode") + _OUTPUT),
+    4: Command(_figure4, ("J", "Jz", "beta", "omega", "B_values", "gamma_start",
+                          "gamma_stop", "steps") + _OUTPUT),
+    5: Command(_figure5, ("J", "Jz", "gamma", "beta", "omega", "B_start", "B_stop",
+                          "steps") + _OUTPUT),
+}
+
+COMMANDS = {
+    "spectrum": Command(_cmd_spectrum, _PARAMS + _OUTPUT,
+                        "labelled eigenpairs with numerical residuals"),
+    "gibbs": Command(_cmd_gibbs, _PARAMS + _OUTPUT,
+                     "thermal state, closed form next to the oracle"),
+    "work": Command(_cmd_work, _PARAMS + ("omega", "t_max", "samples", "mode") + _OUTPUT,
+                    "stored-work time series from both paths"),
+    "coeffs": Command(_cmd_coeffs, _PARAMS + _OUTPUT,
+                      "closed-form work coefficients and branch"),
+    "maxwork": Command(_cmd_maxwork, _PARAMS + ("omega",) + _OUTPUT,
+                       "maximum stored work, peak times, plateau widths"),
+    "report": Command(_cmd_report, _PARAMS + ("omega",) + _OUTPUT,
+                      "closed-form vs dynamics reconciliation record"),
+    "sweep": Command(_cmd_sweep, _PARAMS + ("omega", "mode", "axis", "start", "stop",
+                                            "steps", "quantity", "jobs") + _OUTPUT,
+                     "scan one parameter, CSV per grid point"),
+    # one subparser takes the union of the figure ids' flags; _parse rejects
+    # a flag the chosen id does not read
+    "figure": Command(_cmd_figure,
+                      tuple(k for k in FLAGS
+                            if any(k in fig.flags for fig in FIGURES.values())),
+                      "regenerate figure data bundles"),
+}
+
+_CONFIG_KEYS = set(FLAGS) - {"config"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -565,63 +550,69 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, help_text in (
-        ("spectrum", "labelled eigenpairs with numerical residuals"),
-        ("gibbs", "thermal state, closed form next to the oracle"),
-        ("work", "stored-work time series from both paths"),
-        ("coeffs", "closed-form work coefficients and branch"),
-        ("maxwork", "maximum stored work, peak times, plateau widths"),
-        ("report", "closed-form vs dynamics reconciliation record"),
-    ):
-        cmd = sub.add_parser(name, help=help_text)
-        _add_common(cmd)
-
-    sweep = sub.add_parser("sweep", help="scan one parameter, CSV per grid point")
-    _add_common(sweep)
-    sweep.add_argument("--axis", choices=SWEEP_AXES)
-    sweep.add_argument("--start", type=float)
-    sweep.add_argument("--stop", type=float)
-    sweep.add_argument("--steps", type=int)
-    sweep.add_argument("--quantity", choices=SWEEP_QUANTITIES)
-
-    figure = sub.add_parser("figure", help="regenerate figure data bundles")
-    _add_common(figure)
-    figure.add_argument("id", type=int, choices=(1, 3, 4, 5))
-    figure.add_argument("--omegas", type=_float_list,
-                        help="comma-separated drive strengths (figure 1)")
-    figure.add_argument("--B-values", dest="B_values", type=_float_list,
-                        help="comma-separated field strengths (figures 3, 4)")
-    figure.add_argument("--B-start", dest="B_start", type=float)
-    figure.add_argument("--B-stop", dest="B_stop", type=float)
-    figure.add_argument("--gamma-start", dest="gamma_start", type=float)
-    figure.add_argument("--gamma-stop", dest="gamma_stop", type=float)
-    figure.add_argument("--steps", type=int)
-
+    for name, command in COMMANDS.items():
+        cmd = sub.add_parser(name, help=command.help)
+        if name == "figure":
+            cmd.add_argument("id", type=int, choices=tuple(FIGURES), help="; ".join(
+                f"{i} takes {' '.join(map(_flag, fig.flags))}"
+                for i, fig in FIGURES.items()))
+        for dest in command.flags:
+            cmd.add_argument(_flag(dest), **FLAGS[dest])
     return parser
 
 
-_HANDLERS = {
-    "spectrum": _cmd_spectrum,
-    "gibbs": _cmd_gibbs,
-    "work": _cmd_work,
-    "coeffs": _cmd_coeffs,
-    "maxwork": _cmd_maxwork,
-    "sweep": _cmd_sweep,
-    "figure": _cmd_figure,
-    "report": _cmd_report,
-}
+# ---------------------------------------------------------------------------
+# parsing: explicit flags > config file > built-in defaults
+
+
+def _config_tokens(path: str, reads: tuple[str, ...]) -> list[str]:
+    """The `--flag=value` tokens a config file gives for the flags in `reads`."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise CliUsageError(f"cannot read config file {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise CliUsageError(f"config file {path} must hold a JSON object")
+    unknown = sorted(set(raw) - _CONFIG_KEYS)
+    if unknown:
+        raise CliUsageError(f"unknown config keys: {', '.join(unknown)}")
+    tokens = []
+    for key, value in raw.items():
+        if key not in reads or value is None:
+            continue
+        if isinstance(value, str):
+            text = value
+        elif isinstance(value, list) and FLAGS[key].get("type") is _float_list:
+            text = ",".join(json.dumps(v) for v in value)
+        else:  # json spelling, so true and [1] fail the flag's type as text would
+            text = json.dumps(value)
+        tokens.append(f"{_flag(key)}={text}")
+    return tokens
+
+
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    ns = parser.parse_args(argv)
+    command = COMMANDS[ns.command]
+    reads = FIGURES[ns.id].flags if ns.command == "figure" else command.flags
+    unread = [_flag(k) for k in command.flags
+              if k not in reads and getattr(ns, k) is not None]
+    if unread:
+        raise CliUsageError(f"figure {ns.id} does not take {', '.join(unread)}; "
+                            f"it takes {', '.join(map(_flag, reads))}")
+    if ns.config:
+        # file values go ahead of the explicit flags, so the explicit flags win
+        at = argv.index(ns.command) + 1
+        ns = parser.parse_args(argv[:at] + _config_tokens(ns.config, reads) + argv[at:])
+    return ns
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
+        ns = _parse(parser, sys.argv[1:] if argv is None else list(argv))
+        return COMMANDS[ns.command].handler(ns)
+    except SystemExit as exc:  # argparse: --help, --version, bad flag or value
         return int(exc.code) if exc.code is not None else 0
-    try:
-        ns._config = _load_config(ns.config) if getattr(ns, "config", None) else {}
-        return _HANDLERS[ns.command](ns)
     except (CliUsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -362,6 +362,52 @@ class TestConfigAndFormats:
         assert code == 2
         assert "voltage" in err
 
+    @pytest.mark.parametrize("argv, config", [
+        (("coeffs", *FIG1_FLAGS[2:]), {"J": [1]}),
+        (("coeffs", *FIG1_FLAGS[2:]), {"J": True}),
+        (("coeffs", *FIG1_FLAGS), {"format": "xml"}),
+        (("work", *FIG1_FLAGS), {"samples": 2.7}),
+    ], ids=["list-for-number", "bool-for-number", "format-choice", "float-for-int"])
+    def test_config_values_parse_like_their_flags(self, capsys, tmp_path, argv, config):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, *argv, "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert "--" + next(iter(config)) in err
+
+    def test_config_list_as_text_matches_flag(self, capsys, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"omegas": "1,0.5"}))
+        code_config, _, _ = run_cli(capsys, "figure", "1", "--samples", "17",
+                                    "--config", str(path), "--out", str(tmp_path / "a"))
+        code_flag, _, _ = run_cli(capsys, "figure", "1", "--samples", "17",
+                                  "--omegas", "1,0.5", "--out", str(tmp_path / "b"))
+        assert code_config == code_flag == 0
+        names = sorted(f.name for f in (tmp_path / "b").glob("*.csv"))
+        assert names == ["figure1_omega0.5.csv", "figure1_omega1.csv"]
+        for name in names:
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes())
+
+    def test_config_shared_by_commands_skips_unread_keys(self, capsys, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(
+            {"J": 0.2, "Jz": 0.2, "gamma": 0.5, "B": 1.0, "samples": 33, "omega": 2}))
+        code, out, _ = run_cli(capsys, "coeffs", "--config", str(path))
+        assert code == 0
+        assert out == run_cli(capsys, "coeffs", *FIG1_FLAGS)[1]
+
+    def test_flags_override_config_list(self, capsys, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"B_values": [0.5, 1]}))
+        code, _, _ = run_cli(
+            capsys, "figure", "3", "--J", "0.2", "--Jz", "0.2", "--gamma", "0.5",
+            "--omega", "1", "--samples", "9", "--config", str(path),
+            "--B-values", "2", "--out", str(tmp_path / "fig"))
+        assert code == 0
+        assert sorted(f.name for f in (tmp_path / "fig").glob("*.csv")) == ["figure3_B2.csv"]
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "coeffs", *FIG1_FLAGS,
                                "--format", "json")
@@ -369,6 +415,28 @@ class TestConfigAndFormats:
         payload = json.loads(out)
         assert payload["columns"] == list(cli.COEFFS_COLUMNS)
         assert abs(payload["rows"][0][0] - 1.6845720536056897) < 1e-12
+
+
+class TestUnreadFlags:
+    @pytest.mark.parametrize("argv, flag", [
+        (("report", *FIG1_FLAGS, "--samples", "5"), "--samples"),
+        (("coeffs", *FIG1_FLAGS, "--mode", "full"), "--mode"),
+        (("spectrum", *FIG1_FLAGS, "--omega", "2"), "--omega"),
+        (("maxwork", *FIG1_FLAGS, "--samples", "3"), "--samples"),
+        (("work", *FIG1_FLAGS, "--samples", "5", "--jobs", "2"), "--jobs"),
+        (("figure", "3", "--J", "0.2", "--Jz", "0.2", "--gamma", "0.5", "--omega", "1",
+          "--B-values", "1", "--samples", "9", "--B", "2"), "--B"),
+        (("figure", "5", "--J", "0.2", "--Jz", "0.2", "--gamma", "0.5", "--B-start", "1",
+          "--B-stop", "2", "--steps", "2", "--omegas", "1"), "--omegas"),
+    ], ids=["report-samples", "coeffs-mode", "spectrum-omega", "maxwork-samples",
+            "work-jobs", "figure3-B", "figure5-omegas"])
+    def test_flag_the_command_does_not_read_exits_2(self, capsys, tmp_path,
+                                                     argv, flag):
+        code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert out == ""
+        assert flag in err.replace(",", " ").replace(";", " ").split()
+        assert not (tmp_path / "out").exists()
 
 
 class TestExitCodes:
