@@ -8,6 +8,7 @@ fits and a consistency report. Neither path silently overrides the other.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -19,7 +20,7 @@ from .model import SpinParams, UnsupportedClosedFormError, eta_value, sinhc
 
 B_COEFF_ZERO_TOL = 1e-14
 GRID_POINTS_PER_PERIOD = 100_000
-GRID_VALUE_TOL = 1e-8
+MAX_VALUE_TOL = 1e-8
 _REFINE_PHASE_TOL = 1e-8
 ORACLE_PEAK_SAMPLES = 2048
 
@@ -59,8 +60,9 @@ class WorkExtrema:
     arccos(-x) and 2*pi - arccos(-x) with w_max = 2b + a + a^2/(8b), and the
     in-between minimum w_m = 2a at phase pi. If b < 0 while |a| <= |4b| the
     two-maximum formulas describe minima instead; the actual maximum is then
-    2a at phase pi and the max2-only fields are left unset. w_max_grid is the
-    dense-grid verification value (always within 1e-8 of w_max).
+    2a at phase pi and the max2-only fields are left unset. max_work has
+    verified w_max against the signal's stationary points. w_max_grid is an
+    independent dense-grid maximum of the same signal, computed on first read.
     """
 
     branch: str
@@ -72,7 +74,12 @@ class WorkExtrema:
     delta_t: float | None
     n1: int | None
     n2: int | None
-    w_max_grid: float
+    coefficients: WorkCoefficients
+
+    @functools.cached_property
+    def w_max_grid(self) -> float:
+        """grid_search_max's value for the coefficients, computed on first read."""
+        return grid_search_max(self.coefficients)[1]
 
 
 @dataclass(frozen=True)
@@ -206,11 +213,28 @@ def grid_search_max(c: WorkCoefficients,
     return _golden_max(lambda phi: float(f(np.asarray(phi))), lo, hi)
 
 
-def max_work(c: WorkCoefficients, omega: float) -> WorkExtrema:
-    """Maximum stored work of the closed form, grid-verified.
+def _stationary_max(c: WorkCoefficients) -> float:
+    """Largest value of the signal at its stationary phases.
 
-    Raises FlatSignalError when both harmonics vanish. Raises RuntimeError
-    if the analytic maximum and the dense grid search disagree beyond 1e-8
+    W'(phi) = sin(phi) * (a + 4b cos(phi)) vanishes only at 0, pi and, when
+    |a| <= 4|b|, at +-arccos(-a/(4b)); the signal is even, so one sign of the
+    last is enough. The signal must not be flat (a = b = 0).
+    """
+    phases = [0.0, math.pi]
+    if abs(c.a) <= 4.0 * abs(c.b):
+        phases.append(math.acos(-c.a / (4.0 * c.b)))
+    f = _phase_signal(c)
+    return max(float(f(phi)) for phi in phases)
+
+
+def max_work(c: WorkCoefficients, omega: float) -> WorkExtrema:
+    """Maximum stored work of the closed form, verified at stationary points.
+
+    The branch value is checked against the largest value of the signal
+    itself at its stationary phases, which is the exact maximum. The
+    dense-grid value w_max_grid is computed only on first read. Raises
+    FlatSignalError when both harmonics vanish. Raises RuntimeError if the
+    branch value and the stationary-point maximum disagree beyond 1e-8
     (cannot happen for coefficients produced by work_coefficients).
     """
     if not (math.isfinite(omega) and omega > 0):
@@ -233,7 +257,6 @@ def max_work(c: WorkCoefficients, omega: float) -> WorkExtrema:
         w_max = 2.0 * c.a
         t1_times = (math.pi / omega,)
         n1 = 1
-        expected_phases = (math.pi,)
     elif c.b > 0:
         w_max = 2.0 * c.b + c.a + c.a * c.a / (8.0 * c.b)
         w_m = 2.0 * c.a
@@ -242,25 +265,24 @@ def max_work(c: WorkCoefficients, omega: float) -> WorkExtrema:
         n2 = 0
         delta_phi = 2.0 * math.pi - 2.0 * phi
         delta_t = delta_phi / omega
-        expected_phases = (phi, 2.0 * math.pi - phi)
     else:
         # b < 0: the two-maximum formulas describe the minima; the true
         # maximum sits at phase pi with value 2a
         w_max = 2.0 * c.a
         t2_times = (math.pi / omega,)
         n2 = 0
-        expected_phases = (math.pi,)
 
-    phi_grid, w_grid = grid_search_max(c)
-    if abs(w_grid - w_max) > GRID_VALUE_TOL:
+    w_stationary = _stationary_max(c)
+    if abs(w_stationary - w_max) > MAX_VALUE_TOL:
         raise RuntimeError(
-            f"grid maximum {w_grid!r} disagrees with analytic maximum {w_max!r} "
-            f"beyond {GRID_VALUE_TOL:g} (branch {branch}, coefficients {c!r})"
+            f"stationary-point maximum {w_stationary!r} disagrees with analytic "
+            f"maximum {w_max!r} beyond {MAX_VALUE_TOL:g} (branch {branch}, "
+            f"coefficients {c!r})"
         )
 
     return WorkExtrema(
         branch=branch, w_max=w_max, w_m=w_m, t1_times=t1_times, t2_times=t2_times,
-        delta_phi=delta_phi, delta_t=delta_t, n1=n1, n2=n2, w_max_grid=w_grid,
+        delta_phi=delta_phi, delta_t=delta_t, n1=n1, n2=n2, coefficients=c,
     )
 
 

@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -71,7 +70,8 @@ REPORT_COLUMNS = (
 )
 
 SWEEP_AXES = ("J", "Jz", "gamma", "B", "omega")
-SWEEP_QUANTITIES = ("w_max_printed", "coefficients", "w_series_peak_oracle")
+CLOSED_FORM_QUANTITIES = ("w_max_printed", "coefficients")
+SWEEP_QUANTITIES = CLOSED_FORM_QUANTITIES + ("w_series_peak_oracle",)
 
 _MODE_FROM_CLI = {"charging-only": "charging_only", "full": "full"}
 _MODE_TO_CLI = {"charging_only": "charging-only", "full": "full"}
@@ -333,7 +333,7 @@ def _cmd_sweep(ns) -> int:
     if p.beta != 1.0:
         raise CliUsageError("sweep quantities use the closed form; beta must be 1")
     values = np.linspace(start, stop, steps)
-    jobs = _resolve(ns, "jobs", os.cpu_count() or 1)
+    jobs = _resolve(ns, "jobs", 1)
     if jobs < 1:
         raise CliUsageError(f"--jobs must be >= 1, got {jobs}")
     if jobs > 1:
@@ -479,7 +479,7 @@ FLAGS = {
     "out": {"help": "write output here (figure: directory)"},
     "format": {"choices": ("csv", "json"), "help": "output format (default csv)"},
     "config": {"help": "JSON file of flag values; explicit flags override it"},
-    "jobs": {"type": int, "help": "parallel sweep workers (default: cpu count)"},
+    "jobs": {"type": int, "help": "parallel sweep worker threads (default 1)"},
     "axis": {"choices": SWEEP_AXES},
     "start": {"type": float},
     "stop": {"type": float},
@@ -565,8 +565,8 @@ def build_parser() -> argparse.ArgumentParser:
 # parsing: explicit flags > config file > built-in defaults
 
 
-def _config_tokens(path: str, reads: tuple[str, ...]) -> list[str]:
-    """The `--flag=value` tokens a config file gives for the flags in `reads`."""
+def _config_tokens(path: str) -> dict[str, str]:
+    """The `--flag=value` token a config file gives for each key it sets."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
@@ -576,9 +576,9 @@ def _config_tokens(path: str, reads: tuple[str, ...]) -> list[str]:
     unknown = sorted(set(raw) - _CONFIG_KEYS)
     if unknown:
         raise CliUsageError(f"unknown config keys: {', '.join(unknown)}")
-    tokens = []
+    tokens = {}
     for key, value in raw.items():
-        if key not in reads or value is None:
+        if value is None:
             continue
         if isinstance(value, str):
             text = value
@@ -586,24 +586,48 @@ def _config_tokens(path: str, reads: tuple[str, ...]) -> list[str]:
             text = ",".join(json.dumps(v) for v in value)
         else:  # json spelling, so true and [1] fail the flag's type as text would
             text = json.dumps(value)
-        tokens.append(f"{_flag(key)}={text}")
+        tokens[key] = f"{_flag(key)}={text}"
     return tokens
+
+
+def _reads(ns: argparse.Namespace) -> tuple[str, tuple[str, ...]]:
+    """How the parsed invocation is named in messages, and the flags it reads.
+
+    A figure reads its id's flags. A sweep reads neither the flag of the axis
+    it sweeps nor, with a closed-form quantity, --mode.
+    """
+    if ns.command == "figure":
+        return f"figure {ns.id}", FIGURES[ns.id].flags
+    reads = COMMANDS[ns.command].flags
+    if ns.command != "sweep":
+        return ns.command, reads
+    skip = {ns.axis}
+    if ns.quantity in CLOSED_FORM_QUANTITIES:
+        skip.add("mode")
+    chosen = [f"{_flag(k)} {getattr(ns, k)}" for k in ("axis", "quantity")
+              if getattr(ns, k) is not None]
+    return " ".join(["sweep", *chosen]), tuple(k for k in reads if k not in skip)
 
 
 def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
     ns = parser.parse_args(argv)
     command = COMMANDS[ns.command]
-    reads = FIGURES[ns.id].flags if ns.command == "figure" else command.flags
+    tokens = _config_tokens(ns.config) if ns.config else {}
+    at = argv.index(ns.command) + 1
+
+    def with_config(keys) -> argparse.Namespace:
+        # file values go ahead of the explicit flags, so the explicit flags win
+        given = [tokens[k] for k in keys if k in tokens]
+        return parser.parse_args(argv[:at] + given + argv[at:]) if given else ns
+
+    # a sweep's axis and quantity, which the file may give, decide what it reads
+    name, reads = _reads(with_config(k for k in ("axis", "quantity") if k in command.flags))
     unread = [_flag(k) for k in command.flags
               if k not in reads and getattr(ns, k) is not None]
     if unread:
-        raise CliUsageError(f"figure {ns.id} does not take {', '.join(unread)}; "
+        raise CliUsageError(f"{name} does not take {', '.join(unread)}; "
                             f"it takes {', '.join(map(_flag, reads))}")
-    if ns.config:
-        # file values go ahead of the explicit flags, so the explicit flags win
-        at = argv.index(ns.command) + 1
-        ns = parser.parse_args(argv[:at] + _config_tokens(ns.config, reads) + argv[at:])
-    return ns
+    return with_config(reads)
 
 
 def main(argv=None) -> int:

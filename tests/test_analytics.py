@@ -6,8 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import FIG1_PARAMS, draw_params
+from xyzbattery import analytics
 from xyzbattery.analytics import (
     BRANCH_DEGENERATE,
     BRANCH_MAX1,
@@ -216,6 +219,56 @@ class TestMaxWork:
         phase, value = grid_search_max(c)
         assert abs(phase - math.pi) < 1e-6
         assert abs(value - TWO_A_FIG1) < 1e-8
+
+
+# (a, b) with a >= 0, as work_coefficients gives it: a box with both signs of
+# b, the branch boundary |a| = 4|b| (x = +-1), and |b| around 1e-14
+_BOX = st.tuples(st.floats(0.0, 10.0), st.floats(-5.0, 5.0))
+_BOUNDARY = st.builds(lambda b: (4.0 * abs(b), b),
+                      st.floats(-5.0, 5.0).filter(lambda b: b != 0.0))
+_TINY_B = st.tuples(
+    st.one_of(st.just(0.0), st.floats(0.0, 1e-12), st.floats(0.0, 10.0)),
+    st.builds(lambda e, sign: sign * 10.0 ** e,
+              st.floats(-15.0, -13.0), st.sampled_from((-1.0, 1.0))),
+)
+_PHASES_4096 = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+
+
+class TestExactMaxCheck:
+    @settings(derandomize=True, deadline=None, max_examples=300, database=None)
+    @given(st.one_of(_BOX, _BOUNDARY, _TINY_B))
+    def test_maximum_brackets_a_dense_sampling(self, ab):
+        c = synthetic(*ab)
+        assume(classify_branch(c) != BRANCH_DEGENERATE)
+        ext = max_work(c, 1.0)
+        sampled = float(np.max(closed_form_work(c, 1.0, _PHASES_4096)))
+        step = 2.0 * math.pi / _PHASES_4096.size
+        assert ext.w_max >= sampled - 1e-12
+        assert ext.w_max - sampled <= (abs(c.a) + 4.0 * abs(c.b)) * step ** 2 / 8.0
+        assert abs(ext.w_max_grid - ext.w_max) < 1e-8
+
+    def test_grid_search_runs_only_when_w_max_grid_is_read(self, monkeypatch):
+        calls = []
+        original = analytics.grid_search_max
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(analytics, "grid_search_max", counting)
+        ext = max_work(work_coefficients(FIG1_PARAMS), 1.0)
+        assert calls == []
+        first, second = ext.w_max_grid, ext.w_max_grid
+        assert abs(first - TWO_A_FIG1) < 1e-8
+        assert second == first
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("a, b", [(-1.0, 0.0), (-1.0, -1.0)],
+                             ids=["max1-negative-a", "b-negative-double-negative-a"])
+    def test_wrong_branch_value_raises(self, a, b):
+        # the branch formula gives 2a < 0, but the signal reaches 0 at phase 0
+        with pytest.raises(RuntimeError, match="disagrees with analytic maximum -2.0"):
+            max_work(synthetic(a, b), 1.0)
 
 
 class TestLargeFieldAsymptote:

@@ -439,6 +439,53 @@ class TestUnreadFlags:
         assert not (tmp_path / "out").exists()
 
 
+class TestSweepUnreadFlags:
+    """A sweep reads neither its axis's own flag nor --mode for a closed form."""
+
+    SWEEP = ("sweep", "--start", "1", "--stop", "3", "--steps", "3",
+             "--J", "0.2", "--Jz", "0.2", "--gamma", "0.5", "--jobs", "1")
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("--axis", "B", "--quantity", "w_max_printed", "--B", "7"), "--B"),
+        (("--axis", "omega", "--quantity", "w_series_peak_oracle", "--B", "1",
+          "--omega", "2"), "--omega"),
+        (("--axis", "B", "--quantity", "w_max_printed", "--mode", "full"), "--mode"),
+        (("--axis", "gamma", "--quantity", "coefficients", "--B", "1",
+          "--mode", "charging-only"), "--mode"),
+    ], ids=["axis-B", "axis-omega", "w_max_printed-mode", "coefficients-mode"])
+    def test_flag_the_sweep_does_not_read_exits_2(self, capsys, tmp_path, argv, flag):
+        code, out, err = run_cli(capsys, *self.SWEEP, *argv,
+                                 "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert out == ""
+        assert flag in err.replace(",", " ").replace(";", " ").split()
+        assert not (tmp_path / "out").exists()
+
+    def test_oracle_quantity_reads_mode(self, capsys):
+        code, out, _ = run_cli(capsys, *self.SWEEP, "--axis", "B", "--quantity",
+                               "w_series_peak_oracle", "--mode", "full")
+        assert code == 0
+        assert len(parse_csv(out)[1]) == 3
+
+    def test_config_keys_the_sweep_does_not_read_are_skipped(self, capsys, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"axis": "B", "quantity": "w_max_printed",
+                                    "B": 7, "mode": "full"}))
+        code, out, _ = run_cli(capsys, *self.SWEEP, "--config", str(path))
+        assert code == 0
+        assert out == run_cli(capsys, *self.SWEEP, "--axis", "B",
+                              "--quantity", "w_max_printed")[1]
+
+    def test_axis_from_config_rejects_its_explicit_flag(self, capsys, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"axis": "B", "quantity": "w_max_printed"}))
+        code, out, err = run_cli(capsys, *self.SWEEP, "--config", str(path),
+                                 "--B", "7")
+        assert code == 2
+        assert out == ""
+        assert "--B" in err.replace(",", " ").replace(";", " ").split()
+
+
 class TestExitCodes:
     def test_internal_error_exits_1(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
