@@ -130,9 +130,12 @@ def work_coefficients(p: SpinParams) -> WorkCoefficients:
             f"closed-form work coefficients require beta = 1, got beta = {p.beta!r}"
         )
     eta = eta_value(p)
-    ez = math.exp(p.Jz)
-    cosh_j = math.cosh(p.J)
-    cosh_eta = math.cosh(eta)
+    try:
+        ez = math.exp(p.Jz)
+        cosh_j = math.cosh(p.J)
+        cosh_eta = math.cosh(eta)
+    except OverflowError:  # the terms of d, which a and b divide by
+        raise ValueError(f"coefficient d overflowed for {p!r}") from None
     denom = ez * cosh_j + cosh_eta  # d / eta
     d = eta * denom
 

@@ -9,8 +9,6 @@ timestamps, so identical invocations are byte-identical.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -88,39 +86,71 @@ class CliUsageError(Exception):
 # rendering
 
 
+# a CSV cell holding one of these is quoted, as csv.writer would; "\r" too,
+# so that every cell reads back through csv.reader as written
+_CSV_SPECIAL = frozenset(',"\r\n')
+
+
 def _fmt(value) -> str:
+    """One CSV cell: a float to 17 significant digits, None as nan, else text
+    (quoted if it must be)."""
     if value is None:
         return "nan"
     if isinstance(value, (float, np.floating)):
         return format(float(value), ".17g")
-    return str(value)
+    text = str(value)
+    if _CSV_SPECIAL.isdisjoint(text):
+        return text
+    return '"' + text.replace('"', '""') + '"'
 
 
-def _render_csv(columns, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    return buf.getvalue()
+def _row_count(data) -> int:
+    """Rows of a table given one entry per column: an array, a list, or one
+    value that repeats on every row (a table of single values has one row)."""
+    lengths = {len(v) for v in data if isinstance(v, (list, np.ndarray))}
+    if len(lengths) > 1:
+        raise RuntimeError(f"columns of unequal length: {sorted(lengths)}")
+    return lengths.pop() if lengths else 1
 
 
-def _render_json(columns, rows) -> str:
-    payload = {
-        "columns": list(columns),
-        "rows": [
-            [None if v is None else (float(v) if isinstance(v, (float, np.floating)) else v)
-             for v in row]
-            for row in rows
-        ],
-    }
+def _cells(value, rows: int, cell: Callable) -> list:
+    """One column's cells; a single value is converted once and repeated."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, list):
+        return list(map(cell, value))
+    return [cell(value)] * rows
+
+
+def _render_csv(columns, data) -> str:
+    rows = _row_count(data)
+    cells = []
+    for value in data:
+        float_array = isinstance(value, np.ndarray) and value.dtype.kind == "f"
+        # "%.17g" % v is format(v, ".17g"), nan, inf and -0.0 included
+        cells.append(_cells(value, rows, "%.17g".__mod__ if float_array else _fmt))
+    lines = [",".join(map(_fmt, columns)), *map(",".join, zip(*cells))]
+    return "\n".join(lines) + "\n"
+
+
+def _json_value(value):
+    # strict JSON has no NaN or Infinity: every non-finite float is null
+    if isinstance(value, (float, np.floating)):
+        return float(value) if math.isfinite(value) else None
+    return value
+
+
+def _render_json(columns, data) -> str:
+    rows = _row_count(data)
+    cells = [_cells(value, rows, _json_value) for value in data]
+    payload = {"columns": list(columns), "rows": [list(row) for row in zip(*cells)]}
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _render(fmt: str, columns, rows) -> str:
+def _render(fmt: str, columns, data) -> str:
     if fmt == "json":
-        return _render_json(columns, rows)
-    return _render_csv(columns, rows)
+        return _render_json(columns, data)
+    return _render_csv(columns, data)
 
 
 def _write_manifest(path: Path, command: str, parameters: dict, files=None) -> None:
@@ -136,8 +166,9 @@ def _write_manifest(path: Path, command: str, parameters: dict, files=None) -> N
                     encoding="utf-8")
 
 
-def _emit(ns, command: str, columns, rows, parameters: dict) -> int:
-    body = _render(_resolve(ns, "format", "csv"), columns, rows)
+def _emit(ns, command: str, columns, data, parameters: dict) -> int:
+    """Print (and with --out, write) a table given one entry per column."""
+    body = _render(_resolve(ns, "format", "csv"), columns, data)
     sys.stdout.write(body)
     out = _resolve(ns, "out")
     if out:
@@ -217,14 +248,11 @@ def _cmd_spectrum(ns) -> int:
     ascending = np.argsort(labelled, kind="stable")
     e_numeric = np.empty(4)
     e_numeric[ascending] = numeric
-    rows = []
-    for k, (energy, psi) in enumerate(zip(dec.labelled_energies,
-                                          dec.labelled_vectors), start=1):
-        residual = float(np.linalg.norm(h @ psi - energy * psi))
-        rows.append([k, energy, float(e_numeric[k - 1]), residual,
-                     dec.eta, dec.n_plus, dec.n_minus,
-                     p.J, p.Jz, p.gamma, p.B, p.beta])
-    return _emit(ns, "spectrum", SPECTRUM_COLUMNS, rows, _params_echo(p))
+    residuals = np.array([np.linalg.norm(h @ psi - energy * psi)
+                          for energy, psi in zip(dec.labelled_energies, dec.labelled_vectors)])
+    data = [np.arange(1, 5), labelled, e_numeric, residuals,
+            dec.eta, dec.n_plus, dec.n_minus, p.J, p.Jz, p.gamma, p.B, p.beta]
+    return _emit(ns, "spectrum", SPECTRUM_COLUMNS, data, _params_echo(p))
 
 
 def _cmd_gibbs(ns) -> int:
@@ -232,25 +260,21 @@ def _cmd_gibbs(ns) -> int:
     rho_oracle = gibbs_state(p, method="oracle")
     try:
         rho_closed = gibbs_state(p, method="closed_form")
-    except UnsupportedClosedFormError:
-        rho_closed = None
-    rows = []
-    for i in range(4):
-        for j in range(4):
-            closed_re = rho_closed[i, j].real if rho_closed is not None else math.nan
-            closed_im = rho_closed[i, j].imag if rho_closed is not None else math.nan
-            rows.append([i, j, closed_re, closed_im,
-                         rho_oracle[i, j].real, rho_oracle[i, j].imag,
-                         p.J, p.Jz, p.gamma, p.B, p.beta])
-    return _emit(ns, "gibbs", GIBBS_COLUMNS, rows, _params_echo(p))
+    except UnsupportedClosedFormError:  # general beta: the closed columns read nan
+        rho_closed = np.full((4, 4), complex(math.nan, math.nan))
+    index = np.arange(4)
+    closed, oracle = rho_closed.ravel(), rho_oracle.ravel()
+    data = [np.repeat(index, 4), np.tile(index, 4), closed.real, closed.imag,
+            oracle.real, oracle.imag, p.J, p.Jz, p.gamma, p.B, p.beta]
+    return _emit(ns, "gibbs", GIBBS_COLUMNS, data, _params_echo(p))
 
 
 def _cmd_coeffs(ns) -> int:
     p = _build_params(ns)
     c = work_coefficients(p)
-    rows = [[c.a, c.b, c.b1, c.b2, c.b3, c.d, c.x, classify_branch(c),
-             p.J, p.Jz, p.gamma, p.B, p.beta]]
-    return _emit(ns, "coeffs", COEFFS_COLUMNS, rows, _params_echo(p))
+    data = [c.a, c.b, c.b1, c.b2, c.b3, c.d, c.x, classify_branch(c),
+            p.J, p.Jz, p.gamma, p.B, p.beta]
+    return _emit(ns, "coeffs", COEFFS_COLUMNS, data, _params_echo(p))
 
 
 def _cmd_work(ns) -> int:
@@ -262,10 +286,10 @@ def _cmd_work(ns) -> int:
     t_max = _resolve(ns, "t_max", 2.0 * math.pi / charging.omega)
     if t_max <= 0:
         raise CliUsageError(f"--t-max must be positive, got {t_max}")
-    rows = _work_curve_rows(p, charging, t_max, samples)
     echo = _params_echo(p, charging)
     echo.update({"t_max": t_max, "samples": samples})
-    return _emit(ns, "work", WORK_COLUMNS, rows, echo)
+    return _emit(ns, "work", WORK_COLUMNS,
+                 _work_curve_columns(p, charging, t_max, samples), echo)
 
 
 def _cmd_maxwork(ns) -> int:
@@ -277,10 +301,10 @@ def _cmd_maxwork(ns) -> int:
     try:
         ext = max_work(c, omega)
     except FlatSignalError:
-        rows = [["flat", math.nan, math.nan, math.nan, math.nan, math.nan,
-                 math.nan, math.nan, asymptote, c.a, c.b, c.x,
-                 p.J, p.Jz, p.gamma, p.B, p.beta, omega]]
-        return _emit(ns, "maxwork", MAXWORK_COLUMNS, rows, _params_echo(p, charging))
+        data = ["flat", math.nan, math.nan, math.nan, math.nan, math.nan,
+                math.nan, math.nan, asymptote, c.a, c.b, c.x,
+                p.J, p.Jz, p.gamma, p.B, p.beta, omega]
+        return _emit(ns, "maxwork", MAXWORK_COLUMNS, data, _params_echo(p, charging))
     peaks = ext.t1_times + ext.t2_times
     t1 = peaks[0]
     t2 = peaks[1] if len(peaks) > 1 else math.nan
@@ -288,10 +312,10 @@ def _cmd_maxwork(ns) -> int:
     delta_t_mixed = math.nan
     if ext.branch == BRANCH_MAX2 and ext.delta_phi is not None:
         delta_t_mixed = 2.0 * math.pi - (2.0 / omega) * math.acos(-c.x)
-    rows = [[ext.branch, ext.w_max, ext.w_m, t1, t2, ext.delta_phi,
-             ext.delta_t, delta_t_mixed, asymptote, c.a, c.b, c.x,
-             p.J, p.Jz, p.gamma, p.B, p.beta, omega]]
-    return _emit(ns, "maxwork", MAXWORK_COLUMNS, rows, _params_echo(p, charging))
+    data = [ext.branch, ext.w_max, ext.w_m, t1, t2, ext.delta_phi,
+            ext.delta_t, delta_t_mixed, asymptote, c.a, c.b, c.x,
+            p.J, p.Jz, p.gamma, p.B, p.beta, omega]
+    return _emit(ns, "maxwork", MAXWORK_COLUMNS, data, _params_echo(p, charging))
 
 
 def _sweep_row(axis: str, value: float, p: SpinParams, charging: ChargingSpec,
@@ -317,6 +341,20 @@ def _sweep_row(axis: str, value: float, p: SpinParams, charging: ChargingSpec,
             branch, w_max, w_m, c.a, c.b, c.x]
 
 
+def _sweep_columns(axis: str, values, p: SpinParams, charging: ChargingSpec,
+                   quantity: str, jobs: int = 1) -> list:
+    """One `_sweep_row` per value, transposed to one list per SWEEP_COLUMNS name."""
+    def row(value):
+        return _sweep_row(axis, float(value), p, charging, quantity)
+
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            rows = list(pool.map(row, values))
+    else:
+        rows = [row(v) for v in values]
+    return [list(column) for column in zip(*rows)]
+
+
 def _cmd_sweep(ns) -> int:
     axis, quantity = ns.axis, ns.quantity
     if axis is None or quantity is None:
@@ -336,38 +374,33 @@ def _cmd_sweep(ns) -> int:
     jobs = _resolve(ns, "jobs", 1)
     if jobs < 1:
         raise CliUsageError(f"--jobs must be >= 1, got {jobs}")
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(
-                lambda v: _sweep_row(axis, float(v), p, charging, quantity),
-                values))
-    else:
-        rows = [_sweep_row(axis, float(v), p, charging, quantity) for v in values]
+    data = _sweep_columns(axis, values, p, charging, quantity, jobs)
     echo = _params_echo(p, charging)
     echo.update({"axis": axis, "start": start, "stop": stop, "steps": steps,
                  "quantity": quantity})
-    return _emit(ns, "sweep", SWEEP_COLUMNS, rows, echo)
+    return _emit(ns, "sweep", SWEEP_COLUMNS, data, echo)
 
 
-def _work_curve_rows(p: SpinParams, charging: ChargingSpec,
-                     t_max: float, samples: int) -> list:
+def _work_curve_columns(p: SpinParams, charging: ChargingSpec,
+                        t_max: float, samples: int) -> list:
+    """WORK_COLUMNS as arrays of both paths' samples, then the mode and drive."""
     coeffs = work_coefficients(p)
     series = work_series(p, charging, t_max=t_max, n=samples)
     closed = closed_form_work(coeffs, charging.omega, series.times)
-    mode_token = _MODE_TO_CLI[charging.mode]
-    return [[t, wc, wo, mode_token, charging.omega]
-            for t, wc, wo in zip(series.times, closed, series.values)]
+    return [series.times, closed, series.values, _MODE_TO_CLI[charging.mode],
+            charging.omega]
 
 
 def _figure_bundle(ns, figure_id: int, parameters: dict,
                    files: list[tuple[str, tuple, list]]) -> int:
+    """Write each (stem, columns, one entry per column) table and a manifest."""
     out_dir = Path(_resolve(ns, "out", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
     fmt = _resolve(ns, "format", "csv")
     written = []
-    for stem, columns, rows in files:
+    for stem, columns, data in files:
         name = f"{stem}.{fmt}"
-        (out_dir / name).write_text(_render(fmt, columns, rows), encoding="utf-8")
+        (out_dir / name).write_text(_render(fmt, columns, data), encoding="utf-8")
         written.append(name)
     _write_manifest(out_dir / f"figure{figure_id}_manifest.json",
                     f"figure {figure_id}", parameters, files=written)
@@ -384,7 +417,7 @@ def _figure1(ns) -> int:
     samples = _resolve(ns, "samples", 1001)
     t_max = _resolve(ns, "t_max", 2.0 * 2.0 * math.pi / min(omegas))
     files = [(f"figure1_omega{omega:g}", WORK_COLUMNS,
-              _work_curve_rows(p, replace(charging, omega=omega), t_max, samples))
+              _work_curve_columns(p, replace(charging, omega=omega), t_max, samples))
              for omega in omegas]
     echo = _params_echo(p)
     echo.update({"omegas": list(omegas), "t_max": t_max,
@@ -399,7 +432,7 @@ def _figure3(ns) -> int:
     t_max = _resolve(ns, "t_max", 2.0 * 2.0 * math.pi / charging.omega)
     p = _build_params(ns, skip=("B",))
     files = [(f"figure3_B{b:g}", WORK_COLUMNS,
-              _work_curve_rows(replace(p, B=b), charging, t_max, samples))
+              _work_curve_columns(replace(p, B=b), charging, t_max, samples))
              for b in ns.B_values]
     echo = {"J": p.J, "Jz": p.Jz, "gamma": p.gamma, "beta": p.beta,
             "B_values": list(ns.B_values), "omega": charging.omega, "t_max": t_max,
@@ -414,9 +447,9 @@ def _figure4(ns) -> int:
     steps = _resolve(ns, "steps", 101)
     charging = _build_charging(ns)
     p = _build_params(ns, skip=("B", "gamma"))
+    gammas = np.linspace(gamma_start, gamma_stop, steps)
     files = [(f"figure4_B{b:g}", SWEEP_COLUMNS,
-              [_sweep_row("gamma", float(g), replace(p, B=b), charging, "w_max_printed")
-               for g in np.linspace(gamma_start, gamma_stop, steps)])
+              _sweep_columns("gamma", gammas, replace(p, B=b), charging, "w_max_printed"))
              for b in ns.B_values]
     echo = {"J": p.J, "Jz": p.Jz, "B_values": list(ns.B_values),
             "gamma_start": gamma_start, "gamma_stop": gamma_stop, "steps": steps,
@@ -432,11 +465,11 @@ def _figure5(ns) -> int:
         raise CliUsageError(f"need --B-start < --B-stop, got {b_start} and {b_stop}")
     charging = _build_charging(ns)
     p = _build_params(ns, skip=("B",))
-    rows = [_sweep_row("B", float(b), p, charging, "w_max_printed")
-            for b in np.linspace(b_start, b_stop, steps)]
+    data = _sweep_columns("B", np.linspace(b_start, b_stop, steps), p, charging,
+                          "w_max_printed")
     echo = {"J": p.J, "Jz": p.Jz, "gamma": p.gamma, "B_start": b_start,
             "B_stop": b_stop, "steps": steps, "omega": charging.omega}
-    return _figure_bundle(ns, 5, echo, [("figure5", SWEEP_COLUMNS, rows)])
+    return _figure_bundle(ns, 5, echo, [("figure5", SWEEP_COLUMNS, data)])
 
 
 def _cmd_figure(ns) -> int:
@@ -449,15 +482,16 @@ def _cmd_report(ns) -> int:
     p = _build_params(ns)
     charging = _build_charging(ns)
     report = consistency_report(p, charging)
-    rows = []
-    for fit in report.fits:
-        rows.append([
-            _MODE_TO_CLI[fit.mode], report.omega, p.J, p.Jz, p.gamma, p.B,
-            p.beta, report.a_printed, report.b_printed, fit.a_fitted,
-            fit.b_fitted, fit.alpha0, fit.residual, fit.ratio_a, fit.ratio_b,
-            report.w_half_period_closed, fit.w_half_period_oracle,
-        ])
-    return _emit(ns, "report", REPORT_COLUMNS, rows, _params_echo(p, charging))
+
+    def per_fit(field: str) -> list:
+        return [getattr(fit, field) for fit in report.fits]
+
+    data = [[_MODE_TO_CLI[mode] for mode in per_fit("mode")], report.omega,
+            p.J, p.Jz, p.gamma, p.B, p.beta, report.a_printed, report.b_printed,
+            per_fit("a_fitted"), per_fit("b_fitted"), per_fit("alpha0"),
+            per_fit("residual"), per_fit("ratio_a"), per_fit("ratio_b"),
+            report.w_half_period_closed, per_fit("w_half_period_oracle")]
+    return _emit(ns, "report", REPORT_COLUMNS, data, _params_echo(p, charging))
 
 
 # ---------------------------------------------------------------------------

@@ -184,19 +184,27 @@ def thermal_elements(p: SpinParams) -> ThermalElements:
             " use the oracle path for general beta"
         )
     eta = eta_value(p)
-    ez = math.exp(-p.Jz / 2.0)
-    ezp = math.exp(p.Jz / 2.0)
-    cosh_eta = math.cosh(eta)
-    field_part = p.B * sinhc(eta)  # (B/eta) sinh(eta) without the 0/0
-    mu_plus = ez * (cosh_eta + field_part)
-    mu_minus = ez * (cosh_eta - field_part)
-    kappa = -p.gamma * p.J * sinhc(eta) * ez
-    nu = ezp * math.cosh(p.J)
-    epsilon = -ezp * math.sinh(p.J)
-    Z = 2.0 * (ez * cosh_eta + ezp * math.cosh(p.J))
-    return ThermalElements(
-        mu_plus=mu_plus, mu_minus=mu_minus, kappa=kappa, nu=nu, epsilon=epsilon, Z=Z
+    try:
+        ez = math.exp(-p.Jz / 2.0)
+        ezp = math.exp(p.Jz / 2.0)
+        cosh_eta = math.cosh(eta)
+        field_part = p.B * sinhc(eta)  # (B/eta) sinh(eta) without the 0/0
+        cosh_j = math.cosh(p.J)
+        sinh_j = math.sinh(p.J)
+    except OverflowError:  # the first to overflow is always a factor of Z
+        raise ValueError(f"thermal element Z overflowed for {p!r}") from None
+    elements = ThermalElements(
+        mu_plus=ez * (cosh_eta + field_part),
+        mu_minus=ez * (cosh_eta - field_part),
+        kappa=-p.gamma * p.J * sinhc(eta) * ez,
+        nu=ezp * cosh_j,
+        epsilon=-ezp * sinh_j,
+        Z=2.0 * (ez * cosh_eta + ezp * cosh_j),
     )
+    for name, value in vars(elements).items():
+        if not math.isfinite(value):
+            raise ValueError(f"thermal element {name} overflowed for {p!r}")
+    return elements
 
 
 def gibbs_state(p: SpinParams, method: str = "oracle") -> np.ndarray:

@@ -6,9 +6,14 @@ import csv
 import io
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xyzbattery import cli
 from xyzbattery.analytics import max_work, work_coefficients
@@ -499,3 +504,159 @@ class TestExitCodes:
     def test_version_flag(self, capsys):
         code, out, _ = run_cli(capsys, "--version")
         assert code == 0
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+class TestOverflowExits2:
+    """Fields or couplings too large for the closed forms are bad input."""
+
+    @pytest.mark.parametrize("argv", [
+        ("coeffs", "--J", "0.2", "--Jz", "0.2", "--gamma", "0.5", "--B", "800"),
+        ("work", "--J", "0.2", "--Jz", "0.2", "--gamma", "0.5", "--B", "800"),
+        ("report", "--J", "0.2", "--Jz", "0.2", "--gamma", "0.5", "--B", "800"),
+        ("maxwork", "--J", "0.2", "--Jz", "800", "--gamma", "0.5", "--B", "1"),
+        ("gibbs", "--J", "0.2", "--Jz", "0.2", "--gamma", "0.5", "--B", "1500"),
+        ("gibbs", "--J", "0.2", "--Jz", "-10", "--gamma", "0.5", "--B", "709"),
+        ("sweep", "--axis", "B", "--start", "0", "--stop", "1000", "--steps", "11",
+         "--quantity", "w_max_printed", "--J", "0.2", "--Jz", "0.2", "--gamma", "0.5"),
+    ], ids=["coeffs-B", "work-B", "report-B", "maxwork-Jz", "gibbs-B", "gibbs-product",
+            "sweep-B"])
+    def test_overflow_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "overflowed" in err
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("argv, column", [
+        (("maxwork", "--J", "0", "--Jz", "0", "--gamma", "0", "--B", "0"), "w_max"),
+        (("coeffs", "--J", "0", "--Jz", "0", "--gamma", "0", "--B", "1"), "x"),
+    ], ids=["maxwork-flat", "coeffs-b-zero"])
+    def test_non_finite_values_are_null(self, capsys, argv, column):
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        payload = json.loads(out, parse_constant=_reject_constant)
+        row = dict(zip(payload["columns"], payload["rows"][0]))
+        assert row[column] is None
+        csv_row = parse_csv(run_cli(capsys, *argv)[1])[1][0]
+        assert csv_row[column] == "nan"
+
+
+_EDGE_FLOATS = st.sampled_from([
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+    1e-310, 1e308, -1e308, 1.7976931348623157e308, 0.1, 1.0 / 3.0])
+
+
+def _reference_csv(columns, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+class TestRenderer:
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.lists(
+        st.lists(st.one_of(st.floats(), _EDGE_FLOATS), min_size=n, max_size=n),
+        min_size=1, max_size=5)))
+    def test_float_arrays_match_csv_writer(self, columns):
+        names = [f"c{i}" for i in range(len(columns))]
+        expected = _reference_csv(names, [[format(float(v), ".17g") for v in row]
+                                          for row in zip(*columns)])
+        assert cli._render_csv(names, [np.array(c) for c in columns]) == expected
+
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(-10**20, 10**20), min_size=n, max_size=n),
+        st.lists(st.one_of(st.none(), st.floats()), min_size=n, max_size=n),
+        st.lists(st.text(st.characters(min_codepoint=9, max_codepoint=0x2FF)),
+                 min_size=n, max_size=n),
+        st.floats(),
+        st.text(st.characters(min_codepoint=9, max_codepoint=0x2FF)))))
+    def test_mixed_columns_read_back(self, drawn):
+        ints, optional, texts, value, label = drawn
+        body = cli._render_csv(["i", "f", "s", "v", "l"],
+                               [ints, optional, texts, value, label])
+        rows = list(csv.reader(io.StringIO(body, newline="")))
+        assert rows[0] == ["i", "f", "s", "v", "l"]
+        assert rows[1:] == [
+            [str(i), "nan" if f is None else format(f, ".17g"), s,
+             format(value, ".17g"), label]
+            for i, f, s in zip(ints, optional, texts)]
+
+    def test_single_values_make_one_row(self):
+        assert cli._render_csv(["a", "b"], [1.5, "x"]) == "a,b\n1.5,x\n"
+
+    def test_unequal_columns_are_a_bug(self):
+        with pytest.raises(RuntimeError):
+            cli._render_csv(["a", "b"], [[1, 2], np.zeros(3)])
+
+    def test_flat_row_bytes(self, capsys):
+        code, out, _ = run_cli(capsys, "maxwork", "--J", "0", "--Jz", "0",
+                               "--gamma", "0", "--B", "0")
+        assert code == 0
+        assert out == (
+            "branch,w_max,w_m,t_peak_1,t_peak_2,delta_phi,delta_t,delta_t_mixed,"
+            "asymptote_8B,a,b,x,J,Jz,gamma,B,beta,omega\n"
+            "flat,nan,nan,nan,nan,nan,nan,nan,nan,0,0,nan,0,0,0,0,1,1\n")
+
+
+def _readme_examples():
+    """(comment above, argv) for every `xyzbattery ...` line in README's sh blocks."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    examples = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        comment = ""
+        for line in block.replace("\\\n", " ").splitlines():
+            line = line.strip()
+            if line.startswith("#"):
+                comment = line
+            elif line.startswith("xyzbattery "):
+                examples.append((comment, shlex.split(line)[1:]))
+    return examples
+
+
+def _example_name(argv):
+    return " ".join(argv[:2]) if argv[0] == "figure" else argv[0]
+
+
+_HEADERS = {"spectrum": cli.SPECTRUM_COLUMNS, "gibbs": cli.GIBBS_COLUMNS,
+            "work": cli.WORK_COLUMNS, "coeffs": cli.COEFFS_COLUMNS,
+            "maxwork": cli.MAXWORK_COLUMNS, "sweep": cli.SWEEP_COLUMNS,
+            "report": cli.REPORT_COLUMNS, "figure 1": cli.WORK_COLUMNS,
+            "figure 3": cli.WORK_COLUMNS, "figure 4": cli.SWEEP_COLUMNS,
+            "figure 5": cli.SWEEP_COLUMNS}
+
+
+class TestReadmeExamples:
+    def test_every_example_is_collected(self):
+        commands = {argv[0] for _, argv in _readme_examples()}
+        assert commands == set(cli.COMMANDS)
+
+    @pytest.mark.parametrize("comment, argv", [
+        pytest.param(comment, argv, id=_example_name(argv))
+        for comment, argv in _readme_examples()])
+    def test_example_runs_with_its_header(self, capsys, tmp_path, comment, argv):
+        if "--out" in argv:
+            at = argv.index("--out") + 1
+            argv = argv[:at] + [str(tmp_path / argv[at])] + argv[at + 1:]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        header = ",".join(_HEADERS[_example_name(argv)])
+        documented = re.search(r"\(columns: ([^)]*)\)", comment)
+        if documented:
+            assert documented.group(1) == header
+        if argv[0] == "figure":
+            data_files = [Path(line) for line in out.splitlines()
+                          if not line.endswith("manifest.json")]
+            assert data_files
+            bodies = [f.read_text(encoding="utf-8") for f in data_files]
+        else:
+            bodies = [out]
+        for body in bodies:
+            assert body.splitlines()[0] == header
