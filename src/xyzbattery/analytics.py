@@ -163,9 +163,11 @@ def closed_form_work(c: WorkCoefficients, omega: float, t):
 
     The grouping makes W(0) exactly zero. Accepts scalar or array times.
     """
-    phase = omega * np.asarray(t, dtype=float)
+    # a scalar time stays a scalar: 0-d array arithmetic costs microseconds
+    scalar = np.isscalar(t)
+    phase = omega * (t if scalar else np.asarray(t, dtype=float))
     value = c.a * (1.0 - np.cos(phase)) + c.b * (1.0 - np.cos(2.0 * phase))
-    return float(value) if np.isscalar(t) else value
+    return float(value) if scalar else value
 
 
 def classify_branch(c: WorkCoefficients) -> str:
@@ -175,10 +177,6 @@ def classify_branch(c: WorkCoefficients) -> str:
     if abs(c.b) >= B_COEFF_ZERO_TOL:
         return BRANCH_MAX2
     return BRANCH_DEGENERATE
-
-
-def _phase_signal(c: WorkCoefficients) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda phi: c.a * (1.0 - np.cos(phi)) + c.b * (1.0 - np.cos(2.0 * phi))
 
 
 def _golden_max(f: Callable[[float], float], lo: float, hi: float,
@@ -207,13 +205,12 @@ def grid_search_max(c: WorkCoefficients,
     Scans n points on [0, 2*pi) and refines around the best one by golden
     section down to 1e-8 in phase. Returns (phase, value).
     """
-    f = _phase_signal(c)
     phases = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    values = f(phases)
+    values = closed_form_work(c, 1.0, phases)
     k = int(np.argmax(values))
     step = 2.0 * math.pi / n
     lo, hi = phases[k] - step, phases[k] + step
-    return _golden_max(lambda phi: float(f(np.asarray(phi))), lo, hi)
+    return _golden_max(lambda phi: closed_form_work(c, 1.0, phi), lo, hi)
 
 
 def _stationary_max(c: WorkCoefficients) -> float:
@@ -226,8 +223,7 @@ def _stationary_max(c: WorkCoefficients) -> float:
     phases = [0.0, math.pi]
     if abs(c.a) <= 4.0 * abs(c.b):
         phases.append(math.acos(-c.a / (4.0 * c.b)))
-    f = _phase_signal(c)
-    return max(float(f(phi)) for phi in phases)
+    return max(closed_form_work(c, 1.0, phi) for phi in phases)
 
 
 def max_work(c: WorkCoefficients, omega: float) -> WorkExtrema:

@@ -13,7 +13,6 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -73,10 +72,6 @@ SWEEP_QUANTITIES = CLOSED_FORM_QUANTITIES + ("w_series_peak_oracle",)
 
 _MODE_FROM_CLI = {"charging-only": "charging_only", "full": "full"}
 _MODE_TO_CLI = {"charging_only": "charging-only", "full": "full"}
-
-FIGURE1_PARAMS = {"J": 0.2, "Jz": 0.2, "gamma": 0.5, "B": 1.0, "beta": 1.0}
-FIGURE1_OMEGAS = (1.0, 0.7, 0.3)
-
 
 class CliUsageError(Exception):
     """Bad or missing user input; maps to exit code 2."""
@@ -153,10 +148,11 @@ def _render(fmt: str, columns, data) -> str:
     return _render_csv(columns, data)
 
 
-def _write_manifest(path: Path, command: str, parameters: dict, files=None) -> None:
+def _write_manifest(path: Path, command: str, ns, reads, files=None) -> None:
     record = {
         "command": command,
-        "parameters": parameters,
+        # every input the invocation read, defaults and the computed t_max included
+        "parameters": {k: getattr(ns, k) for k in reads if k not in _OUTPUT},
         "tool_version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
@@ -166,19 +162,33 @@ def _write_manifest(path: Path, command: str, parameters: dict, files=None) -> N
                     encoding="utf-8")
 
 
-def _emit(ns, command: str, columns, data, parameters: dict) -> int:
+def _emit(ns, reads, columns, data) -> None:
     """Print (and with --out, write) a table given one entry per column."""
-    body = _render(_resolve(ns, "format", "csv"), columns, data)
+    body = _render(ns.format, columns, data)
     sys.stdout.write(body)
-    out = _resolve(ns, "out")
-    if out:
-        path = Path(out)
+    if ns.out:
+        path = Path(ns.out)
         if path.parent != Path(""):
             path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(body, encoding="utf-8")
         _write_manifest(path.with_name(path.name + ".manifest.json"),
-                        command, parameters)
-    return 0
+                        ns.command, ns, reads)
+
+
+def _figure_bundle(ns, reads, columns, files) -> None:
+    """Write each (stem, one entry per column) table and a manifest."""
+    out_dir = Path(ns.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written = []
+    for stem, data in files:
+        name = f"{stem}.{ns.format}"
+        (out_dir / name).write_text(_render(ns.format, columns, data), encoding="utf-8")
+        written.append(name)
+    _write_manifest(out_dir / f"figure{ns.id}_manifest.json",
+                    f"figure {ns.id}", ns, reads, files=written)
+    for name in written:
+        print(out_dir / name)
+    print(out_dir / f"figure{ns.id}_manifest.json")
 
 
 # ---------------------------------------------------------------------------
@@ -187,42 +197,6 @@ def _emit(ns, command: str, columns, data, parameters: dict) -> int:
 
 def _flag(dest: str) -> str:
     return "--" + dest.replace("_", "-")
-
-
-def _resolve(ns, key, default=None):
-    value = getattr(ns, key, None)
-    return default if value is None else value
-
-
-def _require(ns, keys, context: str) -> None:
-    missing = [k for k in keys if _resolve(ns, k) is None]
-    if missing:
-        flags = ", ".join(_flag(k) for k in missing)
-        raise CliUsageError(f"{context} requires explicit values for: {flags}")
-
-
-def _build_params(ns, skip=(), defaults=None) -> SpinParams:
-    defaults = defaults or {}
-    _require(ns, [k for k in ("J", "Jz", "gamma", "B")
-                  if k not in skip and k not in defaults], "this command")
-    # 0.0 only for the swept axis
-    kwargs = {key: _resolve(ns, key, defaults.get(key, 0.0))
-              for key in ("J", "Jz", "gamma", "B")}
-    kwargs["beta"] = _resolve(ns, "beta", defaults.get("beta", 1.0))
-    return SpinParams(**kwargs)
-
-
-def _build_charging(ns) -> ChargingSpec:
-    return ChargingSpec(omega=_resolve(ns, "omega", 1.0),
-                        mode=_MODE_FROM_CLI[_resolve(ns, "mode", "charging-only")])
-
-
-def _params_echo(p: SpinParams, charging: ChargingSpec | None = None) -> dict:
-    echo = {"J": p.J, "Jz": p.Jz, "gamma": p.gamma, "B": p.B, "beta": p.beta}
-    if charging is not None:
-        echo["omega"] = charging.omega
-        echo["mode"] = _MODE_TO_CLI[charging.mode]
-    return echo
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -235,12 +209,24 @@ def _float_list(text: str) -> tuple[float, ...]:
     return values
 
 
+def _spin(q) -> SpinParams:
+    """The battery parameters of a mapping of flag values."""
+    return SpinParams(q["J"], q["Jz"], q["gamma"], q["B"], q["beta"])
+
+
+def _grid(start: float, stop: float, steps: int) -> np.ndarray:
+    if steps < 2:
+        raise CliUsageError(f"--steps must be >= 2, got {steps}")
+    return np.linspace(start, stop, steps)
+
+
 # ---------------------------------------------------------------------------
-# commands
+# commands: each reads its flags from the namespace, defaults filled in, and
+# returns one entry per column (a figure: one (file stem, entries) per file)
 
 
-def _cmd_spectrum(ns) -> int:
-    p = _build_params(ns)
+def _cmd_spectrum(ns) -> list:
+    p = _spin(vars(ns))
     dec = closed_form_spectrum(p)
     h = build_total_hamiltonian(p)
     numeric = hermitian_eig(h).eigenvalues
@@ -248,15 +234,17 @@ def _cmd_spectrum(ns) -> int:
     ascending = np.argsort(labelled, kind="stable")
     e_numeric = np.empty(4)
     e_numeric[ascending] = numeric
-    residuals = np.array([np.linalg.norm(h @ psi - energy * psi)
-                          for energy, psi in zip(dec.labelled_energies, dec.labelled_vectors)])
-    data = [np.arange(1, 5), labelled, e_numeric, residuals,
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = np.array([np.linalg.norm(h @ psi - energy * psi)
+                              for energy, psi in zip(dec.labelled_energies, dec.labelled_vectors)])
+    if not np.isfinite(residuals).all():
+        raise ValueError(f"vector residual overflowed for {p!r}")
+    return [np.arange(1, 5), labelled, e_numeric, residuals,
             dec.eta, dec.n_plus, dec.n_minus, p.J, p.Jz, p.gamma, p.B, p.beta]
-    return _emit(ns, "spectrum", SPECTRUM_COLUMNS, data, _params_echo(p))
 
 
-def _cmd_gibbs(ns) -> int:
-    p = _build_params(ns)
+def _cmd_gibbs(ns) -> list:
+    p = _spin(vars(ns))
     rho_oracle = gibbs_state(p, method="oracle")
     try:
         rho_closed = gibbs_state(p, method="closed_form")
@@ -264,47 +252,40 @@ def _cmd_gibbs(ns) -> int:
         rho_closed = np.full((4, 4), complex(math.nan, math.nan))
     index = np.arange(4)
     closed, oracle = rho_closed.ravel(), rho_oracle.ravel()
-    data = [np.repeat(index, 4), np.tile(index, 4), closed.real, closed.imag,
+    return [np.repeat(index, 4), np.tile(index, 4), closed.real, closed.imag,
             oracle.real, oracle.imag, p.J, p.Jz, p.gamma, p.B, p.beta]
-    return _emit(ns, "gibbs", GIBBS_COLUMNS, data, _params_echo(p))
 
 
-def _cmd_coeffs(ns) -> int:
-    p = _build_params(ns)
+def _cmd_coeffs(ns) -> list:
+    p = _spin(vars(ns))
     c = work_coefficients(p)
-    data = [c.a, c.b, c.b1, c.b2, c.b3, c.d, c.x, classify_branch(c),
+    return [c.a, c.b, c.b1, c.b2, c.b3, c.d, c.x, classify_branch(c),
             p.J, p.Jz, p.gamma, p.B, p.beta]
-    return _emit(ns, "coeffs", COEFFS_COLUMNS, data, _params_echo(p))
 
 
-def _cmd_work(ns) -> int:
-    p = _build_params(ns)
-    charging = _build_charging(ns)
-    samples = _resolve(ns, "samples", 201)
-    if samples < 2:
-        raise CliUsageError(f"--samples must be >= 2, got {samples}")
-    t_max = _resolve(ns, "t_max", 2.0 * math.pi / charging.omega)
-    if t_max <= 0:
-        raise CliUsageError(f"--t-max must be positive, got {t_max}")
-    echo = _params_echo(p, charging)
-    echo.update({"t_max": t_max, "samples": samples})
-    return _emit(ns, "work", WORK_COLUMNS,
-                 _work_curve_columns(p, charging, t_max, samples), echo)
+def _cmd_work(ns) -> list:
+    p = _spin(vars(ns))
+    charging = ChargingSpec(ns.omega, _MODE_FROM_CLI[ns.mode])
+    if ns.samples < 2:
+        raise CliUsageError(f"--samples must be >= 2, got {ns.samples}")
+    if ns.t_max is None:
+        ns.t_max = 2.0 * math.pi / ns.omega
+    if ns.t_max <= 0:
+        raise CliUsageError(f"--t-max must be positive, got {ns.t_max}")
+    return _work_curve_columns(p, charging, ns.t_max, ns.samples)
 
 
-def _cmd_maxwork(ns) -> int:
-    p = _build_params(ns)
-    charging = _build_charging(ns)
-    omega = charging.omega
+def _cmd_maxwork(ns) -> list:
+    p = _spin(vars(ns))
+    omega = ns.omega
     c = work_coefficients(p)
     asymptote = 8.0 * p.B if p.B > 0 else math.nan
     try:
         ext = max_work(c, omega)
     except FlatSignalError:
-        data = ["flat", math.nan, math.nan, math.nan, math.nan, math.nan,
+        return ["flat", math.nan, math.nan, math.nan, math.nan, math.nan,
                 math.nan, math.nan, asymptote, c.a, c.b, c.x,
                 p.J, p.Jz, p.gamma, p.B, p.beta, omega]
-        return _emit(ns, "maxwork", MAXWORK_COLUMNS, data, _params_echo(p, charging))
     peaks = ext.t1_times + ext.t2_times
     t1 = peaks[0]
     t2 = peaks[1] if len(peaks) > 1 else math.nan
@@ -312,18 +293,18 @@ def _cmd_maxwork(ns) -> int:
     delta_t_mixed = math.nan
     if ext.branch == BRANCH_MAX2 and ext.delta_phi is not None:
         delta_t_mixed = 2.0 * math.pi - (2.0 / omega) * math.acos(-c.x)
-    data = [ext.branch, ext.w_max, ext.w_m, t1, t2, ext.delta_phi,
+    return [ext.branch, ext.w_max, ext.w_m, t1, t2, ext.delta_phi,
             ext.delta_t, delta_t_mixed, asymptote, c.a, c.b, c.x,
             p.J, p.Jz, p.gamma, p.B, p.beta, omega]
-    return _emit(ns, "maxwork", MAXWORK_COLUMNS, data, _params_echo(p, charging))
 
 
-def _sweep_row(axis: str, value: float, p: SpinParams, charging: ChargingSpec,
-               quantity: str) -> list:
-    if axis == "omega":
-        charging = ChargingSpec(omega=value, mode=charging.mode)
-    else:
-        p = replace(p, **{axis: value})
+def _sweep_row(inputs, axis: str, value: float, quantity: str) -> list:
+    """One SWEEP_COLUMNS row: the inputs' values, with the axis set to value."""
+    q = {**inputs, axis: value}
+    p = _spin(q)
+    # only the oracle reads --mode; the closed forms take the drive alone
+    charging = ChargingSpec(q["omega"], _MODE_FROM_CLI[q["mode"]]
+                            if quantity == "w_series_peak_oracle" else "charging_only")
     c = work_coefficients(p)
     branch = classify_branch(c)
     w_max = math.nan
@@ -341,11 +322,10 @@ def _sweep_row(axis: str, value: float, p: SpinParams, charging: ChargingSpec,
             branch, w_max, w_m, c.a, c.b, c.x]
 
 
-def _sweep_columns(axis: str, values, p: SpinParams, charging: ChargingSpec,
-                   quantity: str, jobs: int = 1) -> list:
+def _sweep_columns(inputs, axis: str, values, quantity: str, jobs: int = 1) -> list:
     """One `_sweep_row` per value, transposed to one list per SWEEP_COLUMNS name."""
     def row(value):
-        return _sweep_row(axis, float(value), p, charging, quantity)
+        return _sweep_row(inputs, axis, float(value), quantity)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -355,30 +335,15 @@ def _sweep_columns(axis: str, values, p: SpinParams, charging: ChargingSpec,
     return [list(column) for column in zip(*rows)]
 
 
-def _cmd_sweep(ns) -> int:
-    axis, quantity = ns.axis, ns.quantity
-    if axis is None or quantity is None:
-        raise CliUsageError("sweep requires --axis and --quantity")
-    start, stop, steps = ns.start, ns.stop, ns.steps
-    if start is None or stop is None or steps is None:
-        raise CliUsageError("sweep requires --start, --stop, and --steps")
-    if steps < 2:
-        raise CliUsageError(f"--steps must be >= 2, got {steps}")
-    if not (math.isfinite(start) and math.isfinite(stop) and start < stop):
-        raise CliUsageError(f"need finite --start < --stop, got {start} and {stop}")
-    p = _build_params(ns, skip=(axis,))
-    charging = _build_charging(ns)
-    if p.beta != 1.0:
+def _cmd_sweep(ns) -> list:
+    if not (math.isfinite(ns.start) and math.isfinite(ns.stop) and ns.start < ns.stop):
+        raise CliUsageError(f"need finite --start < --stop, got {ns.start} and {ns.stop}")
+    values = _grid(ns.start, ns.stop, ns.steps)
+    if ns.beta != 1.0:
         raise CliUsageError("sweep quantities use the closed form; beta must be 1")
-    values = np.linspace(start, stop, steps)
-    jobs = _resolve(ns, "jobs", 1)
-    if jobs < 1:
-        raise CliUsageError(f"--jobs must be >= 1, got {jobs}")
-    data = _sweep_columns(axis, values, p, charging, quantity, jobs)
-    echo = _params_echo(p, charging)
-    echo.update({"axis": axis, "start": start, "stop": stop, "steps": steps,
-                 "quantity": quantity})
-    return _emit(ns, "sweep", SWEEP_COLUMNS, data, echo)
+    if ns.jobs < 1:
+        raise CliUsageError(f"--jobs must be >= 1, got {ns.jobs}")
+    return _sweep_columns(vars(ns), ns.axis, values, ns.quantity, ns.jobs)
 
 
 def _work_curve_columns(p: SpinParams, charging: ChargingSpec,
@@ -391,107 +356,51 @@ def _work_curve_columns(p: SpinParams, charging: ChargingSpec,
             charging.omega]
 
 
-def _figure_bundle(ns, figure_id: int, parameters: dict,
-                   files: list[tuple[str, tuple, list]]) -> int:
-    """Write each (stem, columns, one entry per column) table and a manifest."""
-    out_dir = Path(_resolve(ns, "out", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    fmt = _resolve(ns, "format", "csv")
-    written = []
-    for stem, columns, data in files:
-        name = f"{stem}.{fmt}"
-        (out_dir / name).write_text(_render(fmt, columns, data), encoding="utf-8")
-        written.append(name)
-    _write_manifest(out_dir / f"figure{figure_id}_manifest.json",
-                    f"figure {figure_id}", parameters, files=written)
-    for name in written:
-        print(out_dir / name)
-    print(out_dir / f"figure{figure_id}_manifest.json")
-    return 0
+def _figure1(ns) -> list:
+    p = _spin(vars(ns))
+    drives = [ChargingSpec(omega, _MODE_FROM_CLI[ns.mode]) for omega in ns.omegas]
+    if ns.t_max is None:
+        ns.t_max = 2.0 * 2.0 * math.pi / min(ns.omegas)
+    return [(f"figure1_omega{charging.omega:g}",
+             _work_curve_columns(p, charging, ns.t_max, ns.samples))
+            for charging in drives]
 
 
-def _figure1(ns) -> int:
-    p = _build_params(ns, defaults=FIGURE1_PARAMS)
-    charging = _build_charging(ns)
-    omegas = _resolve(ns, "omegas", FIGURE1_OMEGAS)
-    samples = _resolve(ns, "samples", 1001)
-    t_max = _resolve(ns, "t_max", 2.0 * 2.0 * math.pi / min(omegas))
-    files = [(f"figure1_omega{omega:g}", WORK_COLUMNS,
-              _work_curve_columns(p, replace(charging, omega=omega), t_max, samples))
-             for omega in omegas]
-    echo = _params_echo(p)
-    echo.update({"omegas": list(omegas), "t_max": t_max,
-                 "samples": samples, "mode": _MODE_TO_CLI[charging.mode]})
-    return _figure_bundle(ns, 1, echo, files)
+def _figure3(ns) -> list:
+    charging = ChargingSpec(ns.omega, _MODE_FROM_CLI[ns.mode])
+    if ns.t_max is None:
+        ns.t_max = 2.0 * 2.0 * math.pi / ns.omega
+    return [(f"figure3_B{b:g}",
+             _work_curve_columns(_spin({**vars(ns), "B": b}), charging, ns.t_max, ns.samples))
+            for b in ns.B_values]
 
 
-def _figure3(ns) -> int:
-    _require(ns, ("J", "Jz", "gamma", "omega", "B_values"), "figure 3")
-    charging = _build_charging(ns)
-    samples = _resolve(ns, "samples", 1001)
-    t_max = _resolve(ns, "t_max", 2.0 * 2.0 * math.pi / charging.omega)
-    p = _build_params(ns, skip=("B",))
-    files = [(f"figure3_B{b:g}", WORK_COLUMNS,
-              _work_curve_columns(replace(p, B=b), charging, t_max, samples))
-             for b in ns.B_values]
-    echo = {"J": p.J, "Jz": p.Jz, "gamma": p.gamma, "beta": p.beta,
-            "B_values": list(ns.B_values), "omega": charging.omega, "t_max": t_max,
-            "samples": samples, "mode": _MODE_TO_CLI[charging.mode]}
-    return _figure_bundle(ns, 3, echo, files)
+def _figure4(ns) -> list:
+    gammas = _grid(ns.gamma_start, ns.gamma_stop, ns.steps)
+    return [(f"figure4_B{b:g}",
+             _sweep_columns({**vars(ns), "B": b}, "gamma", gammas, "w_max_printed"))
+            for b in ns.B_values]
 
 
-def _figure4(ns) -> int:
-    _require(ns, ("J", "Jz", "B_values"), "figure 4")
-    gamma_start = _resolve(ns, "gamma_start", -1.0)
-    gamma_stop = _resolve(ns, "gamma_stop", 1.0)
-    steps = _resolve(ns, "steps", 101)
-    charging = _build_charging(ns)
-    p = _build_params(ns, skip=("B", "gamma"))
-    gammas = np.linspace(gamma_start, gamma_stop, steps)
-    files = [(f"figure4_B{b:g}", SWEEP_COLUMNS,
-              _sweep_columns("gamma", gammas, replace(p, B=b), charging, "w_max_printed"))
-             for b in ns.B_values]
-    echo = {"J": p.J, "Jz": p.Jz, "B_values": list(ns.B_values),
-            "gamma_start": gamma_start, "gamma_stop": gamma_stop, "steps": steps,
-            "omega": charging.omega}
-    return _figure_bundle(ns, 4, echo, files)
+def _figure5(ns) -> list:
+    if not ns.B_start < ns.B_stop:
+        raise CliUsageError(f"need --B-start < --B-stop, got {ns.B_start} and {ns.B_stop}")
+    fields = _grid(ns.B_start, ns.B_stop, ns.steps)
+    return [("figure5", _sweep_columns(vars(ns), "B", fields, "w_max_printed"))]
 
 
-def _figure5(ns) -> int:
-    _require(ns, ("J", "Jz", "gamma", "B_start", "B_stop"), "figure 5")
-    b_start, b_stop = ns.B_start, ns.B_stop
-    steps = _resolve(ns, "steps", 101)
-    if not b_start < b_stop:
-        raise CliUsageError(f"need --B-start < --B-stop, got {b_start} and {b_stop}")
-    charging = _build_charging(ns)
-    p = _build_params(ns, skip=("B",))
-    data = _sweep_columns("B", np.linspace(b_start, b_stop, steps), p, charging,
-                          "w_max_printed")
-    echo = {"J": p.J, "Jz": p.Jz, "gamma": p.gamma, "B_start": b_start,
-            "B_stop": b_stop, "steps": steps, "omega": charging.omega}
-    return _figure_bundle(ns, 5, echo, [("figure5", SWEEP_COLUMNS, data)])
-
-
-def _cmd_figure(ns) -> int:
-    if ns.steps is not None and ns.steps < 2:
-        raise CliUsageError(f"--steps must be >= 2, got {ns.steps}")
-    return FIGURES[ns.id].handler(ns)
-
-
-def _cmd_report(ns) -> int:
-    p = _build_params(ns)
-    charging = _build_charging(ns)
-    report = consistency_report(p, charging)
+def _cmd_report(ns) -> list:
+    p = _spin(vars(ns))
+    report = consistency_report(p, ChargingSpec(ns.omega))
 
     def per_fit(field: str) -> list:
         return [getattr(fit, field) for fit in report.fits]
 
-    data = [[_MODE_TO_CLI[mode] for mode in per_fit("mode")], report.omega,
+    return [[_MODE_TO_CLI[mode] for mode in per_fit("mode")], report.omega,
             p.J, p.Jz, p.gamma, p.B, p.beta, report.a_printed, report.b_printed,
             per_fit("a_fitted"), per_fit("b_fitted"), per_fit("alpha0"),
             per_fit("residual"), per_fit("ratio_a"), per_fit("ratio_b"),
             report.w_half_period_closed, per_fit("w_half_period_oracle")]
-    return _emit(ns, "report", REPORT_COLUMNS, data, _params_echo(p, charging))
 
 
 # ---------------------------------------------------------------------------
@@ -529,48 +438,75 @@ FLAGS = {
 
 _PARAMS = ("J", "Jz", "gamma", "B", "beta")
 _OUTPUT = ("out", "format", "config")
+# read but never required: without --out a command only prints, and t_max
+# is computed from the drive
+_OPTIONAL = ("out", "config", "t_max")
 
 
 class Command(NamedTuple):
-    """One command or figure id: its handler and the flag destinations it reads."""
+    """One command or figure id: its handler, the flag destinations it reads,
+    its output columns and the defaults of the flags it may leave out.
 
-    handler: Callable[[argparse.Namespace], int]
+    A command's handler returns one entry per column, a figure id's one
+    (file stem, entries) pair per data file. Every other flag it reads,
+    apart from _OPTIONAL, is required.
+    """
+
+    handler: Callable[[argparse.Namespace], list] | None
     flags: tuple[str, ...]
-    help: str = ""
+    columns: tuple[str, ...]
+    defaults: dict
+    help: str
+
+
+# the default of each of these flags in every entry that reads it
+_SHARED_DEFAULTS = {"beta": 1.0, "omega": 1.0, "mode": "charging-only", "format": "csv"}
+
+
+def _entry(handler, flags, columns, help="", **defaults) -> Command:
+    """A table entry: the shared defaults of its flags, then its own; an own
+    default of None leaves the flag required."""
+    merged = {k: v for k, v in _SHARED_DEFAULTS.items() if k in flags} | defaults
+    return Command(handler, flags, columns,
+                   {k: v for k, v in merged.items() if v is not None}, help)
 
 
 FIGURES = {
-    1: Command(_figure1, _PARAMS + ("omegas", "t_max", "samples", "mode") + _OUTPUT),
-    3: Command(_figure3, ("J", "Jz", "gamma", "beta", "omega", "B_values", "t_max",
-                          "samples", "mode") + _OUTPUT),
-    4: Command(_figure4, ("J", "Jz", "beta", "omega", "B_values", "gamma_start",
-                          "gamma_stop", "steps") + _OUTPUT),
-    5: Command(_figure5, ("J", "Jz", "gamma", "beta", "omega", "B_start", "B_stop",
-                          "steps") + _OUTPUT),
+    1: _entry(_figure1, _PARAMS + ("omegas", "t_max", "samples", "mode") + _OUTPUT,
+              WORK_COLUMNS, J=0.2, Jz=0.2, gamma=0.5, B=1.0, omegas=(1.0, 0.7, 0.3),
+              samples=1001, out="."),
+    3: _entry(_figure3, ("J", "Jz", "gamma", "beta", "omega", "B_values", "t_max",
+                         "samples", "mode") + _OUTPUT,
+              WORK_COLUMNS, omega=None, samples=1001, out="."),
+    4: _entry(_figure4, ("J", "Jz", "beta", "omega", "B_values", "gamma_start",
+                         "gamma_stop", "steps") + _OUTPUT,
+              SWEEP_COLUMNS, gamma_start=-1.0, gamma_stop=1.0, steps=101, out="."),
+    5: _entry(_figure5, ("J", "Jz", "gamma", "beta", "omega", "B_start", "B_stop",
+                         "steps") + _OUTPUT,
+              SWEEP_COLUMNS, steps=101, out="."),
 }
 
 COMMANDS = {
-    "spectrum": Command(_cmd_spectrum, _PARAMS + _OUTPUT,
-                        "labelled eigenpairs with numerical residuals"),
-    "gibbs": Command(_cmd_gibbs, _PARAMS + _OUTPUT,
-                     "thermal state, closed form next to the oracle"),
-    "work": Command(_cmd_work, _PARAMS + ("omega", "t_max", "samples", "mode") + _OUTPUT,
-                    "stored-work time series from both paths"),
-    "coeffs": Command(_cmd_coeffs, _PARAMS + _OUTPUT,
-                      "closed-form work coefficients and branch"),
-    "maxwork": Command(_cmd_maxwork, _PARAMS + ("omega",) + _OUTPUT,
-                       "maximum stored work, peak times, plateau widths"),
-    "report": Command(_cmd_report, _PARAMS + ("omega",) + _OUTPUT,
-                      "closed-form vs dynamics reconciliation record"),
-    "sweep": Command(_cmd_sweep, _PARAMS + ("omega", "mode", "axis", "start", "stop",
-                                            "steps", "quantity", "jobs") + _OUTPUT,
-                     "scan one parameter, CSV per grid point"),
-    # one subparser takes the union of the figure ids' flags; _parse rejects
-    # a flag the chosen id does not read
-    "figure": Command(_cmd_figure,
-                      tuple(k for k in FLAGS
-                            if any(k in fig.flags for fig in FIGURES.values())),
-                      "regenerate figure data bundles"),
+    "spectrum": _entry(_cmd_spectrum, _PARAMS + _OUTPUT, SPECTRUM_COLUMNS,
+                       "labelled eigenpairs with numerical residuals"),
+    "gibbs": _entry(_cmd_gibbs, _PARAMS + _OUTPUT, GIBBS_COLUMNS,
+                    "thermal state, closed form next to the oracle"),
+    "work": _entry(_cmd_work, _PARAMS + ("omega", "t_max", "samples", "mode") + _OUTPUT,
+                   WORK_COLUMNS, "stored-work time series from both paths", samples=201),
+    "coeffs": _entry(_cmd_coeffs, _PARAMS + _OUTPUT, COEFFS_COLUMNS,
+                     "closed-form work coefficients and branch"),
+    "maxwork": _entry(_cmd_maxwork, _PARAMS + ("omega",) + _OUTPUT, MAXWORK_COLUMNS,
+                      "maximum stored work, peak times, plateau widths"),
+    "report": _entry(_cmd_report, _PARAMS + ("omega",) + _OUTPUT, REPORT_COLUMNS,
+                     "closed-form vs dynamics reconciliation record"),
+    "sweep": _entry(_cmd_sweep, _PARAMS + ("omega", "mode", "axis", "start", "stop",
+                                           "steps", "quantity", "jobs") + _OUTPUT,
+                    SWEEP_COLUMNS, "scan one parameter, CSV per grid point", jobs=1),
+    # one subparser takes the union of the figure ids' flags; _parse reads the
+    # chosen id's entry and rejects a flag it does not read
+    "figure": Command(None, tuple(k for k in FLAGS
+                                  if any(k in fig.flags for fig in FIGURES.values())),
+                      (), {}, "regenerate figure data bundles"),
 }
 
 _CONFIG_KEYS = set(FLAGS) - {"config"}
@@ -624,26 +560,30 @@ def _config_tokens(path: str) -> dict[str, str]:
     return tokens
 
 
-def _reads(ns: argparse.Namespace) -> tuple[str, tuple[str, ...]]:
-    """How the parsed invocation is named in messages, and the flags it reads.
+def _reads(ns: argparse.Namespace) -> tuple[str, Command, tuple[str, ...]]:
+    """How the parsed invocation is named in messages, its table entry and
+    the flags it reads.
 
     A figure reads its id's flags. A sweep reads neither the flag of the axis
     it sweeps nor, with a closed-form quantity, --mode.
     """
     if ns.command == "figure":
-        return f"figure {ns.id}", FIGURES[ns.id].flags
-    reads = COMMANDS[ns.command].flags
+        return f"figure {ns.id}", FIGURES[ns.id], FIGURES[ns.id].flags
+    entry = COMMANDS[ns.command]
     if ns.command != "sweep":
-        return ns.command, reads
+        return ns.command, entry, entry.flags
     skip = {ns.axis}
     if ns.quantity in CLOSED_FORM_QUANTITIES:
         skip.add("mode")
     chosen = [f"{_flag(k)} {getattr(ns, k)}" for k in ("axis", "quantity")
               if getattr(ns, k) is not None]
-    return " ".join(["sweep", *chosen]), tuple(k for k in reads if k not in skip)
+    return (" ".join(["sweep", *chosen]), entry,
+            tuple(k for k in entry.flags if k not in skip))
 
 
-def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+def _parse(parser: argparse.ArgumentParser, argv: list[str]):
+    """The invocation's namespace, with config values merged and defaults
+    filled in, its table entry and the flags it reads."""
     ns = parser.parse_args(argv)
     command = COMMANDS[ns.command]
     tokens = _config_tokens(ns.config) if ns.config else {}
@@ -655,20 +595,33 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespa
         return parser.parse_args(argv[:at] + given + argv[at:]) if given else ns
 
     # a sweep's axis and quantity, which the file may give, decide what it reads
-    name, reads = _reads(with_config(k for k in ("axis", "quantity") if k in command.flags))
+    name, entry, reads = _reads(
+        with_config(k for k in ("axis", "quantity") if k in command.flags))
     unread = [_flag(k) for k in command.flags
               if k not in reads and getattr(ns, k) is not None]
     if unread:
         raise CliUsageError(f"{name} does not take {', '.join(unread)}; "
                             f"it takes {', '.join(map(_flag, reads))}")
-    return with_config(reads)
+    ns = with_config(reads)
+    for key in reads:
+        if getattr(ns, key) is None and key in entry.defaults:
+            setattr(ns, key, entry.defaults[key])
+    missing = [_flag(k) for k in reads if getattr(ns, k) is None and k not in _OPTIONAL]
+    if missing:
+        raise CliUsageError(f"{name} requires explicit values for: {', '.join(missing)}")
+    return ns, entry, reads
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        ns = _parse(parser, sys.argv[1:] if argv is None else list(argv))
-        return COMMANDS[ns.command].handler(ns)
+        ns, entry, reads = _parse(parser, sys.argv[1:] if argv is None else list(argv))
+        result = entry.handler(ns)
+        if ns.command == "figure":
+            _figure_bundle(ns, reads, entry.columns, result)
+        else:
+            _emit(ns, reads, entry.columns, result)
+        return 0
     except SystemExit as exc:  # argparse: --help, --version, bad flag or value
         return int(exc.code) if exc.code is not None else 0
     except (CliUsageError, ValueError) as exc:

@@ -522,8 +522,9 @@ class TestOverflowExits2:
         ("gibbs", "--J", "0.2", "--Jz", "-10", "--gamma", "0.5", "--B", "709"),
         ("sweep", "--axis", "B", "--start", "0", "--stop", "1000", "--steps", "11",
          "--quantity", "w_max_printed", "--J", "0.2", "--Jz", "0.2", "--gamma", "0.5"),
+        ("spectrum", "--J", "1e300", "--Jz", "1e300", "--gamma", "1", "--B", "1e300"),
     ], ids=["coeffs-B", "work-B", "report-B", "maxwork-Jz", "gibbs-B", "gibbs-product",
-            "sweep-B"])
+            "sweep-B", "spectrum-residual"])
     def test_overflow_exits_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
@@ -660,3 +661,138 @@ class TestReadmeExamples:
             bodies = [out]
         for body in bodies:
             assert body.splitlines()[0] == header
+
+
+_PARAMS = {"J", "Jz", "gamma", "B", "beta"}
+_SWEEP_READS = {"axis", "start", "stop", "steps", "quantity", "jobs"}
+_SWEEP_RANGE = ("--start", "1", "--stop", "3", "--steps", "3")
+
+
+class TestManifests:
+    """A manifest echoes every flag the invocation reads but --out, --format
+    and --config, defaults and the computed t_max included."""
+
+    @pytest.mark.parametrize("argv, keys, values", [
+        (("spectrum", *FIG1_FLAGS), _PARAMS, {"beta": 1.0}),
+        (("gibbs", *FIG1_FLAGS, "--beta", "2"), _PARAMS, {"beta": 2.0}),
+        (("coeffs", *FIG1_FLAGS), _PARAMS, {"J": 0.2, "B": 1.0}),
+        (("work", *FIG1_FLAGS, "--omega", "2"),
+         _PARAMS | {"omega", "t_max", "samples", "mode"},
+         {"samples": 201, "t_max": 2.0 * math.pi / 2.0, "mode": "charging-only"}),
+        (("maxwork", *FIG1_FLAGS), _PARAMS | {"omega"}, {"omega": 1.0}),
+        (("report", *FIG1_FLAGS), _PARAMS | {"omega"}, {"omega": 1.0}),
+        (("sweep", "--axis", "B", "--quantity", "w_max_printed", *_SWEEP_RANGE,
+          *FIG1_FLAGS[:6]),
+         _PARAMS - {"B"} | {"omega"} | _SWEEP_READS, {"jobs": 1, "axis": "B"}),
+        (("sweep", "--axis", "omega", "--quantity", "w_series_peak_oracle",
+          *_SWEEP_RANGE, *FIG1_FLAGS),
+         _PARAMS | {"mode"} | _SWEEP_READS, {"mode": "charging-only", "start": 1.0}),
+        (("sweep", "--axis", "gamma", "--quantity", "coefficients", *_SWEEP_RANGE,
+          "--J", "0.2", "--Jz", "0.2", "--B", "1", "--jobs", "2"),
+         _PARAMS - {"gamma"} | {"omega"} | _SWEEP_READS, {"jobs": 2, "steps": 3}),
+        (("figure", "1", "--samples", "17"),
+         _PARAMS | {"omegas", "t_max", "samples", "mode"},
+         {"J": 0.2, "Jz": 0.2, "gamma": 0.5, "B": 1.0, "beta": 1.0,
+          "omegas": [1.0, 0.7, 0.3], "t_max": 4.0 * math.pi / 0.3, "samples": 17}),
+        (("figure", "3", *FIG1_FLAGS[:6], "--omega", "2", "--B-values", "1",
+          "--samples", "9"),
+         _PARAMS - {"B"} | {"omega", "B_values", "t_max", "samples", "mode"},
+         {"t_max": 4.0 * math.pi / 2.0, "B_values": [1.0], "mode": "charging-only"}),
+        (("figure", "4", "--J", "0.2", "--Jz", "0.2", "--B-values", "1", "--steps", "3"),
+         {"J", "Jz", "beta", "omega", "B_values", "gamma_start", "gamma_stop", "steps"},
+         {"beta": 1.0, "omega": 1.0, "gamma_start": -1.0, "gamma_stop": 1.0}),
+        (("figure", "5", *FIG1_FLAGS[:6], "--B-start", "1", "--B-stop", "2"),
+         {"J", "Jz", "gamma", "beta", "omega", "B_start", "B_stop", "steps"},
+         {"beta": 1.0, "steps": 101}),
+    ], ids=["spectrum", "gibbs", "coeffs", "work", "maxwork", "report", "sweep-B",
+            "sweep-omega", "sweep-coefficients", "figure1", "figure3", "figure4",
+            "figure5"])
+    def test_parameters_are_the_flags_read(self, capsys, tmp_path, argv, keys, values):
+        out = tmp_path / "out"
+        if argv[0] == "figure":
+            manifest_path = out / f"figure{argv[1]}_manifest.json"
+        else:
+            out, manifest_path = out / "body.csv", out / "body.csv.manifest.json"
+        code, _, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 0, err
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["command"] == " ".join(argv[:2] if argv[0] == "figure" else argv[:1])
+        assert set(manifest["parameters"]) == keys
+        for key, value in values.items():
+            assert manifest["parameters"][key] == value
+
+
+# each invocation's required flags, as flag/value pairs of a valid argv
+_REQUIRED = [
+    *[((command,), FIG1_FLAGS) for command in ("spectrum", "gibbs", "coeffs", "work",
+                                               "maxwork", "report")],
+    (("sweep", "--jobs", "1"),
+     ["--axis", "B", "--quantity", "w_max_printed", "--start", "1", "--stop", "3",
+      "--steps", "3", "--J", "0.2", "--Jz", "0.2", "--gamma", "0.5"]),
+    (("figure", "3", "--samples", "9"),
+     ["--J", "0.2", "--Jz", "0.2", "--gamma", "0.5", "--omega", "1", "--B-values", "1"]),
+    (("figure", "4", "--steps", "3"), ["--J", "0.2", "--Jz", "0.2", "--B-values", "1"]),
+    (("figure", "5", "--steps", "3"),
+     ["--J", "0.2", "--Jz", "0.2", "--gamma", "0.5", "--B-start", "1", "--B-stop", "2"]),
+]
+
+
+def _without(pairs, flag):
+    at = pairs.index(flag)
+    return pairs[:at] + pairs[at + 2:]
+
+
+class TestRequiredFlags:
+    @pytest.mark.parametrize("base, pairs, flag", [
+        pytest.param(base, pairs, flag, id=f"{_example_name(base)} {flag}")
+        for base, pairs in _REQUIRED for flag in pairs[::2]])
+    def test_each_missing_flag_exits_2(self, capsys, tmp_path, base, pairs, flag):
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, *base, *_without(pairs, flag), "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert "requires explicit values for:" in err
+        assert flag in err.replace(",", " ").split()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("base, pairs", _REQUIRED,
+                             ids=[_example_name(base) for base, _ in _REQUIRED])
+    def test_no_other_flag_is_required(self, capsys, tmp_path, base, pairs):
+        code, stdout, err = run_cli(capsys, *base, *pairs, "--out", str(tmp_path / "o"))
+        assert code == 0, err
+        code, stdout, err = run_cli(capsys, *base)
+        assert code == 2 and stdout == ""
+        named = err.split("requires explicit values for: ", 1)[1].rstrip("\n").split(", ")
+        # with no --axis, a sweep reads the flag of every axis
+        assert set(named) == set(pairs[::2]) | ({"--B"} if base[0] == "sweep" else set())
+
+    def test_figure1_needs_no_flag(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "figure", "1", "--samples", "9",
+                               "--out", str(tmp_path))
+        assert code == 0, err
+
+
+def _readme_defaults():
+    """invocation -> {flag: text} from the README's table of defaults."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Defaults, required flags and manifests", 1)[1]
+    table = {}
+    for line in section.split("\n\n")[2].splitlines()[2:]:
+        name, defaults = (cell.strip() for cell in line.strip("|").split("|"))
+        table[name.strip("`")] = dict(cell.strip("`").split(" ", 1)
+                                      for cell in defaults.split(", "))
+    return table
+
+
+class TestReadmeDefaults:
+    def test_table_matches_the_command_table(self):
+        entries = {name: entry for name, entry in cli.COMMANDS.items() if name != "figure"}
+        entries.update({f"figure {i}": entry for i, entry in cli.FIGURES.items()})
+        documented = _readme_defaults()
+        assert set(documented) == set(entries)
+        for name, entry in entries.items():
+            flags = documented[name]
+            assert set(flags) == {cli._flag(k) for k in entry.defaults}, name
+            for dest, default in entry.defaults.items():
+                parse = cli.FLAGS[dest].get("type", str)
+                assert parse(flags[cli._flag(dest)]) == default, (name, dest)
