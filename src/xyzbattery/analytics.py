@@ -236,8 +236,9 @@ def max_work(c: WorkCoefficients, omega: float) -> WorkExtrema:
     branch value and the stationary-point maximum disagree beyond 1e-8
     (cannot happen for coefficients produced by work_coefficients).
     """
-    if not (math.isfinite(omega) and omega > 0):
-        raise ValueError(f"omega must be positive and finite, got {omega!r}")
+    if not (math.isfinite(omega) and omega > 0 and math.isfinite(2.0 * math.pi / omega)):
+        raise ValueError("omega must be positive and finite, with a finite period "
+                         f"2*pi/omega, got {omega!r}")
     branch = classify_branch(c)
     if branch == BRANCH_DEGENERATE:
         raise FlatSignalError(

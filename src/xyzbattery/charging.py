@@ -42,8 +42,10 @@ class ChargingSpec:
     mode: str = "charging_only"
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.omega) and self.omega > 0):
-            raise ValueError(f"omega must be positive and finite, got {self.omega!r}")
+        if not (math.isfinite(self.omega) and self.omega > 0
+                and math.isfinite(2.0 * math.pi / self.omega)):
+            raise ValueError("omega must be positive and finite, with a finite period "
+                             f"2*pi/omega, got {self.omega!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 

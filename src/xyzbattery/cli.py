@@ -73,10 +73,6 @@ SWEEP_QUANTITIES = CLOSED_FORM_QUANTITIES + ("w_series_peak_oracle",)
 _MODE_FROM_CLI = {"charging-only": "charging_only", "full": "full"}
 _MODE_TO_CLI = {"charging_only": "charging-only", "full": "full"}
 
-class CliUsageError(Exception):
-    """Bad or missing user input; maps to exit code 2."""
-
-
 # ---------------------------------------------------------------------------
 # rendering
 
@@ -143,9 +139,7 @@ def _render_json(columns, data) -> str:
 
 
 def _render(fmt: str, columns, data) -> str:
-    if fmt == "json":
-        return _render_json(columns, data)
-    return _render_csv(columns, data)
+    return (_render_json if fmt == "json" else _render_csv)(columns, data)
 
 
 def _write_manifest(path: Path, command: str, ns, reads, files=None) -> None:
@@ -199,6 +193,12 @@ def _flag(dest: str) -> str:
     return "--" + dest.replace("_", "-")
 
 
+def _typed(value) -> str:
+    """A default as a user types it: 1, 0.2, 1,0.7,0.3, charging-only, ."""
+    return (",".join(map(_typed, value)) if isinstance(value, tuple)
+            else str(value).removesuffix(".0"))
+
+
 def _float_list(text: str) -> tuple[float, ...]:
     try:
         values = tuple(float(part) for part in text.split(",") if part.strip())
@@ -214,10 +214,14 @@ def _spin(q) -> SpinParams:
     return SpinParams(q["J"], q["Jz"], q["gamma"], q["B"], q["beta"])
 
 
-def _grid(start: float, stop: float, steps: int) -> np.ndarray:
-    if steps < 2:
-        raise CliUsageError(f"--steps must be >= 2, got {steps}")
-    return np.linspace(start, stop, steps)
+def _grid(ns, start: str, stop: str) -> np.ndarray:
+    """--steps points from flag start to flag stop: finite ends, start < stop."""
+    lo, hi = getattr(ns, start), getattr(ns, stop)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"need finite {_flag(start)} < {_flag(stop)}, got {lo} and {hi}")
+    if ns.steps < 2:
+        raise ValueError(f"--steps must be >= 2, got {ns.steps}")
+    return np.linspace(lo, hi, ns.steps)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +263,9 @@ def _cmd_gibbs(ns) -> list:
 def _cmd_coeffs(ns) -> list:
     p = _spin(vars(ns))
     c = work_coefficients(p)
+    for name in ("b1", "b2"):  # printed here alone; a, b and d are checked already
+        if not math.isfinite(getattr(c, name)):
+            raise ValueError(f"coefficient {name} overflowed for {p!r}")
     return [c.a, c.b, c.b1, c.b2, c.b3, c.d, c.x, classify_branch(c),
             p.J, p.Jz, p.gamma, p.B, p.beta]
 
@@ -266,36 +273,31 @@ def _cmd_coeffs(ns) -> list:
 def _cmd_work(ns) -> list:
     p = _spin(vars(ns))
     charging = ChargingSpec(ns.omega, _MODE_FROM_CLI[ns.mode])
-    if ns.samples < 2:
-        raise CliUsageError(f"--samples must be >= 2, got {ns.samples}")
     if ns.t_max is None:
         ns.t_max = 2.0 * math.pi / ns.omega
-    if ns.t_max <= 0:
-        raise CliUsageError(f"--t-max must be positive, got {ns.t_max}")
     return _work_curve_columns(p, charging, ns.t_max, ns.samples)
 
 
 def _cmd_maxwork(ns) -> list:
     p = _spin(vars(ns))
-    omega = ns.omega
     c = work_coefficients(p)
     asymptote = 8.0 * p.B if p.B > 0 else math.nan
     try:
-        ext = max_work(c, omega)
+        ext = max_work(c, ns.omega)
     except FlatSignalError:
         return ["flat", math.nan, math.nan, math.nan, math.nan, math.nan,
                 math.nan, math.nan, asymptote, c.a, c.b, c.x,
-                p.J, p.Jz, p.gamma, p.B, p.beta, omega]
+                p.J, p.Jz, p.gamma, p.B, p.beta, ns.omega]
     peaks = ext.t1_times + ext.t2_times
     t1 = peaks[0]
     t2 = peaks[1] if len(peaks) > 1 else math.nan
     # unit-mixed variant of the peak separation, kept for comparison
     delta_t_mixed = math.nan
     if ext.branch == BRANCH_MAX2 and ext.delta_phi is not None:
-        delta_t_mixed = 2.0 * math.pi - (2.0 / omega) * math.acos(-c.x)
+        delta_t_mixed = 2.0 * math.pi - (2.0 / ns.omega) * math.acos(-c.x)
     return [ext.branch, ext.w_max, ext.w_m, t1, t2, ext.delta_phi,
             ext.delta_t, delta_t_mixed, asymptote, c.a, c.b, c.x,
-            p.J, p.Jz, p.gamma, p.B, p.beta, omega]
+            p.J, p.Jz, p.gamma, p.B, p.beta, ns.omega]
 
 
 def _sweep_row(inputs, axis: str, value: float, quantity: str) -> list:
@@ -307,8 +309,7 @@ def _sweep_row(inputs, axis: str, value: float, quantity: str) -> list:
                             if quantity == "w_series_peak_oracle" else "charging_only")
     c = work_coefficients(p)
     branch = classify_branch(c)
-    w_max = math.nan
-    w_m = math.nan
+    w_max = w_m = math.nan
     if quantity == "w_max_printed":
         try:
             ext = max_work(c, charging.omega)
@@ -336,13 +337,9 @@ def _sweep_columns(inputs, axis: str, values, quantity: str, jobs: int = 1) -> l
 
 
 def _cmd_sweep(ns) -> list:
-    if not (math.isfinite(ns.start) and math.isfinite(ns.stop) and ns.start < ns.stop):
-        raise CliUsageError(f"need finite --start < --stop, got {ns.start} and {ns.stop}")
-    values = _grid(ns.start, ns.stop, ns.steps)
-    if ns.beta != 1.0:
-        raise CliUsageError("sweep quantities use the closed form; beta must be 1")
+    values = _grid(ns, "start", "stop")
     if ns.jobs < 1:
-        raise CliUsageError(f"--jobs must be >= 1, got {ns.jobs}")
+        raise ValueError(f"--jobs must be >= 1, got {ns.jobs}")
     return _sweep_columns(vars(ns), ns.axis, values, ns.quantity, ns.jobs)
 
 
@@ -376,16 +373,14 @@ def _figure3(ns) -> list:
 
 
 def _figure4(ns) -> list:
-    gammas = _grid(ns.gamma_start, ns.gamma_stop, ns.steps)
+    gammas = _grid(ns, "gamma_start", "gamma_stop")
     return [(f"figure4_B{b:g}",
              _sweep_columns({**vars(ns), "B": b}, "gamma", gammas, "w_max_printed"))
             for b in ns.B_values]
 
 
 def _figure5(ns) -> list:
-    if not ns.B_start < ns.B_stop:
-        raise CliUsageError(f"need --B-start < --B-stop, got {ns.B_start} and {ns.B_stop}")
-    fields = _grid(ns.B_start, ns.B_stop, ns.steps)
+    fields = _grid(ns, "B_start", "B_stop")
     return [("figure5", _sweep_columns(vars(ns), "B", fields, "w_max_printed"))]
 
 
@@ -413,16 +408,15 @@ FLAGS = {
     "Jz": {"type": float, "help": "z-axis coupling strength"},
     "gamma": {"type": float, "help": "in-plane anisotropy"},
     "B": {"type": float, "help": "magnetic field strength"},
-    "beta": {"type": float, "help": "inverse temperature (default 1)"},
-    "omega": {"type": float, "help": "drive strength (default 1)"},
-    "t_max": {"type": float, "help": "time-series end (default: one drive period)"},
+    "beta": {"type": float, "help": "inverse temperature"},
+    "omega": {"type": float, "help": "drive strength"},
+    "t_max": {"type": float, "help": "time-series end; whole drive periods if left out"},
     "samples": {"type": int, "help": "time-series sample count"},
-    "mode": {"choices": sorted(_MODE_FROM_CLI),
-             "help": "propagation mode (default charging-only)"},
+    "mode": {"choices": sorted(_MODE_FROM_CLI), "help": "propagation mode"},
     "out": {"help": "write output here (figure: directory)"},
-    "format": {"choices": ("csv", "json"), "help": "output format (default csv)"},
+    "format": {"choices": ("csv", "json"), "help": "output format"},
     "config": {"help": "JSON file of flag values; explicit flags override it"},
-    "jobs": {"type": int, "help": "parallel sweep worker threads (default 1)"},
+    "jobs": {"type": int, "help": "parallel sweep worker threads"},
     "axis": {"choices": SWEEP_AXES},
     "start": {"type": float},
     "stop": {"type": float},
@@ -524,10 +518,16 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=command.help)
         if name == "figure":
             cmd.add_argument("id", type=int, choices=tuple(FIGURES), help="; ".join(
-                f"{i} takes {' '.join(map(_flag, fig.flags))}"
+                f"{i} takes " + " ".join(
+                    _flag(k) + (f"={_typed(fig.defaults[k])}" if k in fig.defaults else "")
+                    for k in fig.flags)
                 for i, fig in FIGURES.items()))
         for dest in command.flags:
-            cmd.add_argument(_flag(dest), **FLAGS[dest])
+            spec = FLAGS[dest]
+            if dest in command.defaults:
+                spec = spec | {"help": f"{spec.get('help', '')} "
+                                       f"(default {_typed(command.defaults[dest])})"}
+            cmd.add_argument(_flag(dest), **spec)
     return parser
 
 
@@ -540,12 +540,12 @@ def _config_tokens(path: str) -> dict[str, str]:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
-        raise CliUsageError(f"cannot read config file {path}: {exc}") from exc
+        raise ValueError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(raw, dict):
-        raise CliUsageError(f"config file {path} must hold a JSON object")
+        raise ValueError(f"config file {path} must hold a JSON object")
     unknown = sorted(set(raw) - _CONFIG_KEYS)
     if unknown:
-        raise CliUsageError(f"unknown config keys: {', '.join(unknown)}")
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     tokens = {}
     for key, value in raw.items():
         if value is None:
@@ -600,15 +600,15 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str]):
     unread = [_flag(k) for k in command.flags
               if k not in reads and getattr(ns, k) is not None]
     if unread:
-        raise CliUsageError(f"{name} does not take {', '.join(unread)}; "
-                            f"it takes {', '.join(map(_flag, reads))}")
+        raise ValueError(f"{name} does not take {', '.join(unread)}; "
+                         f"it takes {', '.join(map(_flag, reads))}")
     ns = with_config(reads)
     for key in reads:
         if getattr(ns, key) is None and key in entry.defaults:
             setattr(ns, key, entry.defaults[key])
     missing = [_flag(k) for k in reads if getattr(ns, k) is None and k not in _OPTIONAL]
     if missing:
-        raise CliUsageError(f"{name} requires explicit values for: {', '.join(missing)}")
+        raise ValueError(f"{name} requires explicit values for: {', '.join(missing)}")
     return ns, entry, reads
 
 
@@ -624,7 +624,7 @@ def main(argv=None) -> int:
         return 0
     except SystemExit as exc:  # argparse: --help, --version, bad flag or value
         return int(exc.code) if exc.code is not None else 0
-    except (CliUsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - exit-code contract

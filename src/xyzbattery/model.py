@@ -136,7 +136,9 @@ def closed_form_spectrum(p: SpinParams) -> SpectralDecomposition:
     The corner pair is E_{3,4} = Jz/2 +/- eta with amplitudes proportional to
     ((B +/- eta)/(gamma*J), 1) on (|00>, |11>). When |gamma*J| < 1e-12 the
     corner block is diagonal and the basis states themselves are returned,
-    with the B sign deciding which state carries Jz/2 + eta.
+    with the B sign deciding which state carries Jz/2 + eta. Raises
+    ValueError when an energy is not finite or a corner vector is not a
+    finite unit vector, as happens when an energy or ratio overflows.
     """
     eta = eta_value(p)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
@@ -167,8 +169,13 @@ def closed_form_spectrum(p: SpinParams) -> SpectralDecomposition:
             r_minus = (p.B - eta) / corner
         n_plus = 1.0 / math.sqrt(r_plus * r_plus + 1.0)
         n_minus = 1.0 / math.sqrt(r_minus * r_minus + 1.0)
-        psi3 = n_plus * (r_plus * ket00 + ket11)
-        psi4 = n_minus * (r_minus * ket00 + ket11)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            psi3 = n_plus * (r_plus * ket00 + ket11)
+            psi4 = n_minus * (r_minus * ket00 + ket11)
+    # an overflowed energy or amplitude ratio leaves inf, nan or a zero vector
+    unit = all(abs(np.linalg.norm(psi) - 1.0) <= 1e-12 for psi in (psi3, psi4))
+    if not (unit and all(map(math.isfinite, (e1, e2, e3, e4)))):
+        raise ValueError(f"closed-form spectrum overflowed for {p!r}")
 
     return SpectralDecomposition(
         E1=e1, E2=e2, E3=e3, E4=e4, eta=eta, n_plus=n_plus, n_minus=n_minus,
@@ -228,7 +235,10 @@ def gibbs_state(p: SpinParams, method: str = "oracle") -> np.ndarray:
     if method == "oracle":
         h = build_total_hamiltonian(p)
         values, vectors = np.linalg.eigh(h)
-        weights = np.exp(-p.beta * (values - values.min()))  # shift avoids overflow
+        # the shift keeps every weight <= 1; a product that overflows to -inf
+        # gives the weight e^-inf = 0, its limit
+        with np.errstate(over="ignore"):
+            weights = np.exp(-p.beta * (values - values.min()))
         rho = (vectors * weights) @ vectors.conj().T
         return rho / weights.sum()
     raise ValueError(f"unknown method {method!r}; expected 'closed_form' or 'oracle'")

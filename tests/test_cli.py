@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -84,6 +85,14 @@ class TestGibbsCommand:
         trace = sum(float(r["re_oracle"]) for r in rows if r["row"] == r["col"])
         assert abs(trace - 1.0) < 1e-12
         assert all(math.isnan(float(r["re_closed"])) for r in rows)
+
+    def test_huge_beta_weights_underflow_quietly(self, capsys):
+        code, out, err = run_cli(capsys, "gibbs", *FIG1_FLAGS, "--beta", "1e308")
+        assert code == 0
+        assert err == ""
+        _, rows = parse_csv(out)
+        trace = sum(float(r["re_oracle"]) for r in rows if r["row"] == r["col"])
+        assert abs(trace - 1.0) < 1e-12
 
 
 class TestWorkCommand:
@@ -523,8 +532,13 @@ class TestOverflowExits2:
         ("sweep", "--axis", "B", "--start", "0", "--stop", "1000", "--steps", "11",
          "--quantity", "w_max_printed", "--J", "0.2", "--Jz", "0.2", "--gamma", "0.5"),
         ("spectrum", "--J", "1e300", "--Jz", "1e300", "--gamma", "1", "--B", "1e300"),
+        ("coeffs", "--J", "0", "--Jz", "700", "--gamma", "0", "--B", "700"),
+        ("spectrum", "--J", "1e308", "--Jz", "1e308", "--gamma", "1", "--B", "1e308"),
+        ("spectrum", "--J", "1e-11", "--Jz", "0", "--gamma", "1", "--B", "1e300"),
+        ("spectrum", "--J", "1e-11", "--Jz", "0", "--gamma", "1", "--B", "1e150"),
     ], ids=["coeffs-B", "work-B", "report-B", "maxwork-Jz", "gibbs-B", "gibbs-product",
-            "sweep-B", "spectrum-residual"])
+            "sweep-B", "spectrum-residual", "coeffs-b1", "spectrum-energies",
+            "spectrum-ratio", "spectrum-zero-vector"])
     def test_overflow_exits_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
@@ -796,3 +810,173 @@ class TestReadmeDefaults:
             for dest, default in entry.defaults.items():
                 parse = cli.FLAGS[dest].get("type", str)
                 assert parse(flags[cli._flag(dest)]) == default, (name, dest)
+
+
+_RANGES = {
+    "sweep": (("sweep", "--axis", "B", "--quantity", "w_max_printed", "--J", "0.2",
+               "--Jz", "0.2", "--gamma", "0.5"), "start", "stop"),
+    "figure4": (("figure", "4", "--J", "0.2", "--Jz", "0.2", "--B-values", "1"),
+                "gamma_start", "gamma_stop"),
+    "figure5": (("figure", "5", "--J", "0.2", "--Jz", "0.2", "--gamma", "0.5"),
+                "B_start", "B_stop"),
+}
+
+
+class TestRangeRule:
+    """sweep and figures 4 and 5 take finite ends, start < stop and --steps >= 2."""
+
+    @pytest.mark.parametrize("name", list(_RANGES))
+    @pytest.mark.parametrize("start, stop", [
+        ("2", "1"), ("1", "1"), ("nan", "1"), ("1", "inf"), ("-inf", "1"),
+    ], ids=["reversed", "equal", "nan", "inf", "minus-inf"])
+    def test_bad_range_exits_2(self, capsys, tmp_path, name, start, stop):
+        base, lo, hi = _RANGES[name]
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, *base, "--steps", "3", f"{cli._flag(lo)}={start}",
+                                    f"{cli._flag(hi)}={stop}", "--out", str(out))
+        assert code == 2 and stdout == "" and not out.exists()
+        assert err.startswith(f"error: need finite {cli._flag(lo)} < {cli._flag(hi)}")
+
+    @pytest.mark.parametrize("name", list(_RANGES))
+    def test_single_step_exits_2(self, capsys, tmp_path, name):
+        base, lo, hi = _RANGES[name]
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, *base, "--steps", "1", f"{cli._flag(lo)}=1",
+                                    f"{cli._flag(hi)}=2", "--out", str(out))
+        assert code == 2 and stdout == "" and not out.exists()
+        assert err.startswith("error: --steps must be >= 2")
+
+
+class TestLibraryChecksExit2:
+    """Inputs that only the library rejects still exit 2 and write nothing."""
+
+    @pytest.mark.parametrize("argv", [
+        ("work", *FIG1_FLAGS, "--samples", "1"),
+        ("work", *FIG1_FLAGS, "--t-max", "0"),
+        ("work", *FIG1_FLAGS, "--t-max=-1"),
+        (*_RANGES["sweep"][0], "--start", "1", "--stop", "2", "--steps", "3",
+         "--beta", "2"),
+        ("sweep", "--axis", "B", "--quantity", "w_series_peak_oracle", *FIG1_FLAGS[:6],
+         "--start", "1", "--stop", "2", "--steps", "3", "--beta", "2"),
+        ("maxwork", *FIG1_FLAGS, "--omega", "1e-320"),
+        (*_RANGES["sweep"][0], "--start", "1", "--stop", "2", "--steps", "3",
+         "--omega", "1e-320"),
+    ], ids=["work-samples", "work-t-max-zero", "work-t-max-negative", "sweep-beta",
+            "sweep-oracle-beta", "maxwork-subnormal-drive", "sweep-subnormal-drive"])
+    def test_exits_2_without_output(self, capsys, tmp_path, argv):
+        out = tmp_path / "out.csv"
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 2 and stdout == "" and not out.exists()
+        assert err.startswith("error:")
+        if "1e-320" in argv:
+            assert "finite period" in err
+
+
+def _help_entries(capsys, monkeypatch, *argv) -> dict:
+    """First word of each help entry (a flag, or a positional's choices) ->
+    the rest of the entry, from one unwrapped `--help`."""
+    monkeypatch.setenv("COLUMNS", "1000")
+    code, out, _ = run_cli(capsys, *argv, "--help")
+    assert code == 0
+    entries, current = {}, None
+    for line in out.splitlines():
+        if line.startswith("  ") and not line.startswith("   "):
+            current, _, rest = line.strip().partition(" ")
+            entries[current] = rest.strip()
+        elif line.startswith("   ") and current is not None:
+            entries[current] += " " + line.strip()
+        else:
+            current = None
+    return entries
+
+
+def _as_typed(dest, text):
+    """The value a help text gives a flag, checked to be written as typed."""
+    assert re.fullmatch(r"[-\w.,]+", text) and not re.search(r"\.0(,|$)", text), text
+    return cli.FLAGS[dest].get("type", str)(text)
+
+
+class TestHelpDefaults:
+    """--help shows each default the command table holds, as a user types it,
+    and names no other default."""
+
+    @pytest.mark.parametrize("command", [c for c in cli.COMMANDS if c != "figure"])
+    def test_flag_lines_show_the_table_defaults(self, capsys, monkeypatch, command):
+        entries = _help_entries(capsys, monkeypatch, command)
+        entry = cli.COMMANDS[command]
+        assert set(entries) == {"-h,", *map(cli._flag, entry.flags)}
+        for dest in entry.flags:
+            text = entries[cli._flag(dest)]
+            shown = re.findall(r"\(default ([^)]*)\)", text)
+            if dest in entry.defaults:
+                assert len(shown) == 1, (command, text)
+                assert _as_typed(dest, shown[0]) == entry.defaults[dest], (command, text)
+            else:
+                assert "default" not in text, (command, text)
+
+    def test_figure_ids_show_the_table_defaults(self, capsys, monkeypatch):
+        entries = _help_entries(capsys, monkeypatch, "figure")
+        ids = entries.pop("{" + ",".join(map(str, cli.FIGURES)) + "}")
+        assert not any("default" in text for text in entries.values())
+        listing = dict(part.split(" takes ", 1) for part in ids.split("; "))
+        assert set(listing) == set(map(str, cli.FIGURES))
+        for i, fig in cli.FIGURES.items():
+            shown = dict(token.partition("=")[::2] for token in listing[str(i)].split())
+            assert list(shown) == [cli._flag(k) for k in fig.flags]
+            for dest in fig.flags:
+                text = shown[cli._flag(dest)]
+                if dest in fig.defaults:
+                    assert _as_typed(dest, text) == fig.defaults[dest], (i, dest)
+                else:
+                    assert text == "", (i, dest)
+
+
+_LOG_SCALE = st.floats(-6.0, 3.0).map(lambda e: 10.0 ** e)
+_COUPLING = st.one_of(st.just(0.0), _LOG_SCALE, _LOG_SCALE.map(lambda v: -v))
+_RATE = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
+_FUZZED = [("spectrum",), ("gibbs",), ("coeffs",), ("maxwork",), ("report",),
+           ("work", "--mode", "charging-only", "--samples", "9"),
+           ("work", "--mode", "full", "--samples", "9"),
+           *[("sweep", "--quantity", q, "--steps", "3") for q in cli.SWEEP_QUANTITIES]]
+
+
+@st.composite
+def _fuzzed_argv(draw) -> list:
+    """A valid-looking argv: |J|, |Jz|, |B| log-spaced up to 1e3 or 0, |gamma| up
+    to 10, omega and beta in [1e-3, 1e3] (beta often 1); a sweep runs from its
+    axis's drawn value to that plus 1."""
+    argv = list(draw(st.sampled_from(_FUZZED)))
+    values = {"J": draw(_COUPLING), "Jz": draw(_COUPLING),
+              "gamma": draw(st.one_of(st.just(0.0), st.floats(-10.0, 10.0))),
+              "B": draw(_COUPLING), "beta": draw(st.one_of(st.just(1.0), _RATE)),
+              "omega": draw(_RATE)}
+    axis = draw(st.sampled_from(cli.SWEEP_AXES)) if argv[0] == "sweep" else None
+    if axis:
+        argv += ["--axis", axis, f"--start={values[axis]!r}", f"--stop={values[axis] + 1!r}"]
+    reads = cli.COMMANDS[argv[0]].flags
+    argv += [f"{cli._flag(k)}={v!r}" for k, v in values.items() if k in reads and k != axis]
+    return argv
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestExitCodeContract:
+    """Every finite argv exits 0 or 2, never 1; exit 2 prints nothing, and
+    exit 0 prints no infinite cell and the same bytes on a rerun."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300, database=None)
+    @given(_fuzzed_argv())
+    def test_finite_inputs_honour_the_contract(self, argv):
+        code, out, err = _run_captured(argv)
+        assert code in (0, 2), (argv, err)
+        if code == 2:
+            assert out == "", argv
+            return
+        cells = set(re.split(r"[,\n]", out))
+        assert not cells & {"inf", "-inf"}, argv
+        assert _run_captured(argv)[1] == out, argv
