@@ -4,122 +4,10 @@ Builds the battery Hamiltonian and its thermal state, drives it with a
 transverse charging field, and analyses the stored work: exact two-harmonic
 closed form, maximum-work branches, and reconciliation against independent
 numerical oracles.
+
+Import each name from its module (see the README's Layout table), for
+example ``from xyzbattery.charging import work_curve``; the package itself
+holds only ``__version__``.
 """
 
-from .analytics import (
-    BRANCH_DEGENERATE,
-    BRANCH_MAX1,
-    BRANCH_MAX2,
-    ConsistencyReport,
-    FlatSignalError,
-    HarmonicFit,
-    ModeFit,
-    WorkCoefficients,
-    WorkExtrema,
-    classify_branch,
-    closed_form_work,
-    consistency_report,
-    grid_search_max,
-    harmonic_fit,
-    large_B_asymptote,
-    max_work,
-    oracle_peak,
-    work_coefficients,
-)
-from .charging import (
-    ChargingSpec,
-    WorkCurve,
-    WorkSeries,
-    build_charging_hamiltonian,
-    ergotropy,
-    evolve,
-    passive_state,
-    propagator,
-    stored_work,
-    work_curve,
-    work_series,
-)
-from .linalg import (
-    IDENTITY_2,
-    IDENTITY_4,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    EigenSystem,
-    expectation,
-    hermitian_eig,
-    is_hermitian,
-    is_unitary,
-    tensor,
-    unitary_exp,
-)
-from .model import (
-    SpectralDecomposition,
-    SpinParams,
-    ThermalElements,
-    UnsupportedClosedFormError,
-    build_field_hamiltonian,
-    build_spin_hamiltonian,
-    build_total_hamiltonian,
-    closed_form_spectrum,
-    eta_value,
-    gibbs_state,
-    thermal_elements,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BRANCH_DEGENERATE",
-    "BRANCH_MAX1",
-    "BRANCH_MAX2",
-    "ChargingSpec",
-    "ConsistencyReport",
-    "EigenSystem",
-    "FlatSignalError",
-    "HarmonicFit",
-    "IDENTITY_2",
-    "IDENTITY_4",
-    "ModeFit",
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
-    "SpectralDecomposition",
-    "SpinParams",
-    "ThermalElements",
-    "UnsupportedClosedFormError",
-    "WorkCoefficients",
-    "WorkCurve",
-    "WorkExtrema",
-    "WorkSeries",
-    "build_charging_hamiltonian",
-    "build_field_hamiltonian",
-    "build_spin_hamiltonian",
-    "build_total_hamiltonian",
-    "classify_branch",
-    "closed_form_spectrum",
-    "closed_form_work",
-    "consistency_report",
-    "ergotropy",
-    "eta_value",
-    "evolve",
-    "expectation",
-    "gibbs_state",
-    "grid_search_max",
-    "harmonic_fit",
-    "hermitian_eig",
-    "is_hermitian",
-    "is_unitary",
-    "large_B_asymptote",
-    "max_work",
-    "oracle_peak",
-    "passive_state",
-    "propagator",
-    "stored_work",
-    "tensor",
-    "thermal_elements",
-    "unitary_exp",
-    "work_coefficients",
-    "work_curve",
-    "work_series",
-]

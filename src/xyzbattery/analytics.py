@@ -23,6 +23,7 @@ GRID_POINTS_PER_PERIOD = 100_000
 MAX_VALUE_TOL = 1e-8
 _REFINE_PHASE_TOL = 1e-8
 ORACLE_PEAK_SAMPLES = 2048
+REPORT_SAMPLES = 256
 
 BRANCH_MAX1 = "max1"
 BRANCH_MAX2 = "max2"
@@ -179,8 +180,19 @@ def classify_branch(c: WorkCoefficients) -> str:
     return BRANCH_DEGENERATE
 
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float,
-                tol: float = _REFINE_PHASE_TOL) -> tuple[float, float]:
+def _refined_max(f: Callable, period: float, n: int,
+                 tol: float) -> tuple[float, float, float]:
+    """Maximum of f over one period: the best of n evenly spaced samples on
+    [0, period), refined by golden section within one step of it down to tol.
+
+    f takes an array of points and a single point. Returns (x, f(x), the best
+    sample's value).
+    """
+    xs = np.linspace(0.0, period, n, endpoint=False)
+    values = f(xs)
+    k = int(np.argmax(values))
+    step = period / n
+    lo, hi = xs[k] - step, xs[k] + step
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - inv_phi * (hi - lo)
     x2 = lo + inv_phi * (hi - lo)
@@ -195,7 +207,7 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float,
             x1 = hi - inv_phi * (hi - lo)
             f1 = f(x1)
     mid = (lo + hi) / 2.0
-    return mid, f(mid)
+    return mid, f(mid), float(values[k])
 
 
 def grid_search_max(c: WorkCoefficients,
@@ -205,12 +217,9 @@ def grid_search_max(c: WorkCoefficients,
     Scans n points on [0, 2*pi) and refines around the best one by golden
     section down to 1e-8 in phase. Returns (phase, value).
     """
-    phases = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    values = closed_form_work(c, 1.0, phases)
-    k = int(np.argmax(values))
-    step = 2.0 * math.pi / n
-    lo, hi = phases[k] - step, phases[k] + step
-    return _golden_max(lambda phi: closed_form_work(c, 1.0, phi), lo, hi)
+    phase, value, _ = _refined_max(lambda phi: closed_form_work(c, 1.0, phi),
+                                   2.0 * math.pi, n, _REFINE_PHASE_TOL)
+    return phase, value
 
 
 def _stationary_max(c: WorkCoefficients) -> float:
@@ -331,15 +340,13 @@ def _ratio(printed: float, fitted: float) -> float:
     return printed / fitted
 
 
-def consistency_report(
-    p: SpinParams, spec: ChargingSpec, samples: int = 256
-) -> ConsistencyReport:
+def consistency_report(p: SpinParams, spec: ChargingSpec) -> ConsistencyReport:
     """Reconcile the printed coefficients with harmonic fits of the dynamics.
 
-    For each propagation mode the one-period work series is fitted and the
-    printed/fitted amplitude ratios are recorded, together with the stored
-    work at half period from both paths. Nothing is judged pass/fail here;
-    the record is evidence.
+    For each propagation mode a one-period work series of REPORT_SAMPLES
+    samples is fitted and the printed/fitted amplitude ratios are recorded,
+    together with the stored work at half period from both paths. Nothing is
+    judged pass/fail here; the record is evidence.
     """
     coeffs = work_coefficients(p)
     period = 2.0 * math.pi / spec.omega
@@ -347,7 +354,7 @@ def consistency_report(
     fits = []
     for mode in MODES:
         curve = work_curve(p, ChargingSpec(omega=spec.omega, mode=mode))
-        fit = harmonic_fit(curve.series(t_max=period, n=samples))
+        fit = harmonic_fit(curve.series(t_max=period, n=REPORT_SAMPLES))
         a_fitted = -fit.alpha1
         b_fitted = -fit.alpha2
         fits.append(
@@ -380,11 +387,6 @@ def oracle_peak(p: SpinParams, spec: ChargingSpec) -> float:
     period.
     """
     period = 2.0 * math.pi / spec.omega
-    work = work_curve(p, spec)
-    times = np.linspace(0.0, period, ORACLE_PEAK_SAMPLES, endpoint=False)
-    values = work(times)
-    k = int(np.argmax(values))
-    step = period / ORACLE_PEAK_SAMPLES
-    _, peak = _golden_max(work, times[k] - step, times[k] + step,
-                          tol=1e-9 * period)
-    return max(peak, float(values[k]))
+    _, peak, sampled = _refined_max(work_curve(p, spec), period,
+                                    ORACLE_PEAK_SAMPLES, 1e-9 * period)
+    return max(peak, sampled)

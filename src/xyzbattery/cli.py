@@ -71,7 +71,7 @@ CLOSED_FORM_QUANTITIES = ("w_max_printed", "coefficients")
 SWEEP_QUANTITIES = CLOSED_FORM_QUANTITIES + ("w_series_peak_oracle",)
 
 _MODE_FROM_CLI = {"charging-only": "charging_only", "full": "full"}
-_MODE_TO_CLI = {"charging_only": "charging-only", "full": "full"}
+_MODE_TO_CLI = {mode: flag for flag, mode in _MODE_FROM_CLI.items()}
 
 # ---------------------------------------------------------------------------
 # rendering
@@ -142,6 +142,16 @@ def _render(fmt: str, columns, data) -> str:
     return (_render_json if fmt == "json" else _render_csv)(columns, data)
 
 
+def _write(path: Path, text: str) -> None:
+    """Write text to path, creating its directory; a path that cannot be
+    written is bad input."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_manifest(path: Path, command: str, ns, reads, files=None) -> None:
     record = {
         "command": command,
@@ -152,32 +162,30 @@ def _write_manifest(path: Path, command: str, ns, reads, files=None) -> None:
     }
     if files is not None:
         record["files"] = list(files)
-    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    _write(path, json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
 def _emit(ns, reads, columns, data) -> None:
-    """Print (and with --out, write) a table given one entry per column."""
+    """With --out, write a table given one entry per column; then print it."""
     body = _render(ns.format, columns, data)
-    sys.stdout.write(body)
     if ns.out:
         path = Path(ns.out)
-        if path.parent != Path(""):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(body, encoding="utf-8")
+        _write(path, body)
         _write_manifest(path.with_name(path.name + ".manifest.json"),
                         ns.command, ns, reads)
+    sys.stdout.write(body)
 
 
 def _figure_bundle(ns, reads, columns, files) -> None:
-    """Write each (stem, one entry per column) table and a manifest."""
+    """Write each (stem, one entry per column) table and a manifest, then
+    print their paths."""
     out_dir = Path(ns.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for stem, data in files:
-        name = f"{stem}.{ns.format}"
-        (out_dir / name).write_text(_render(ns.format, columns, data), encoding="utf-8")
-        written.append(name)
+    written = [f"{stem}.{ns.format}" for stem, _ in files]
+    for name in written:
+        if written.count(name) > 1:  # stems print their values to 6 digits
+            raise ValueError(f"figure {ns.id} would write {out_dir / name} twice")
+    for name, (_, data) in zip(written, files):
+        _write(out_dir / name, _render(ns.format, columns, data))
     _write_manifest(out_dir / f"figure{ns.id}_manifest.json",
                     f"figure {ns.id}", ns, reads, files=written)
     for name in written:
@@ -215,9 +223,10 @@ def _spin(q) -> SpinParams:
 
 
 def _grid(ns, start: str, stop: str) -> np.ndarray:
-    """--steps points from flag start to flag stop: finite ends, start < stop."""
+    """--steps points from flag start to flag stop: start < stop, and a
+    finite span between them (so finite ends)."""
     lo, hi = getattr(ns, start), getattr(ns, stop)
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+    if not (lo < hi and math.isfinite(hi - lo)):
         raise ValueError(f"need finite {_flag(start)} < {_flag(stop)}, got {lo} and {hi}")
     if ns.steps < 2:
         raise ValueError(f"--steps must be >= 2, got {ns.steps}")

@@ -828,7 +828,8 @@ class TestRangeRule:
     @pytest.mark.parametrize("name", list(_RANGES))
     @pytest.mark.parametrize("start, stop", [
         ("2", "1"), ("1", "1"), ("nan", "1"), ("1", "inf"), ("-inf", "1"),
-    ], ids=["reversed", "equal", "nan", "inf", "minus-inf"])
+        ("-1.7e308", "1.7e308"),
+    ], ids=["reversed", "equal", "nan", "inf", "minus-inf", "overflowing-span"])
     def test_bad_range_exits_2(self, capsys, tmp_path, name, start, stop):
         base, lo, hi = _RANGES[name]
         out = tmp_path / "out"
@@ -870,6 +871,41 @@ class TestLibraryChecksExit2:
         assert err.startswith("error:")
         if "1e-320" in argv:
             assert "finite period" in err
+
+
+class TestUnwritableOut:
+    """An --out that cannot be written exits 2 before anything is printed."""
+
+    @pytest.mark.parametrize("argv, out", [
+        (("coeffs", *FIG1_FLAGS), "."),
+        (("figure", "1", "--samples", "5"), "blocker"),
+        (("coeffs", *FIG1_FLAGS), "blocker/x.csv"),
+    ], ids=["coeffs-into-directory", "figure-into-file", "coeffs-under-file"])
+    def test_exits_2_without_output(self, capsys, tmp_path, argv, out):
+        (tmp_path / "blocker").write_text("kept\n")
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(tmp_path / out))
+        assert code == 2 and stdout == ""
+        assert err.startswith("error: cannot write ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
+        assert (tmp_path / "blocker").read_text() == "kept\n"
+
+
+class TestFigureFileClash:
+    """Two tables of one figure whose file names coincide exit 2 and write nothing."""
+
+    @pytest.mark.parametrize("argv, name", [
+        (("figure", "1", "--omegas", "0.1,0.1000001", "--samples", "5"),
+         "figure1_omega0.1.csv"),
+        (("figure", "3", *FIG1_FLAGS[:6], "--omega", "1", "--B-values", "1,1",
+          "--samples", "5"), "figure3_B1.csv"),
+        (("figure", "4", "--J", "0.2", "--Jz", "0.2", "--B-values", "1,1.0000001",
+          "--steps", "3"), "figure4_B1.csv"),
+    ], ids=["figure1", "figure3", "figure4"])
+    def test_exits_2_without_output(self, capsys, tmp_path, argv, name):
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 2 and stdout == "" and not out.exists()
+        assert err.startswith("error:") and name in err
 
 
 def _help_entries(capsys, monkeypatch, *argv) -> dict:
