@@ -11,12 +11,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
+# numpy and the propagation layer load only in the functions that use them,
+# so the closed forms and max_work run without either
+from .params import SpinParams, UnsupportedClosedFormError, check_omega, eta_value, sinhc
 
-from .charging import MODES, ChargingSpec, WorkSeries, work_curve
-from .model import SpinParams, UnsupportedClosedFormError, eta_value, sinhc
+if TYPE_CHECKING:
+    from .charging import ChargingSpec, WorkSeries
 
 B_COEFF_ZERO_TOL = 1e-14
 GRID_POINTS_PER_PERIOD = 100_000
@@ -163,11 +165,19 @@ def closed_form_work(c: WorkCoefficients, omega: float, t):
     """Closed-form stored work a*(1-cos(w t)) + b*(1-cos(2 w t)).
 
     The grouping makes W(0) exactly zero. Accepts scalar or array times.
+    Raises ValueError when the phase 2*omega*t overflows.
     """
+    import numpy as np
+
     # a scalar time stays a scalar: 0-d array arithmetic costs microseconds
     scalar = np.isscalar(t)
     phase = omega * (t if scalar else np.asarray(t, dtype=float))
-    value = c.a * (1.0 - np.cos(phase)) + c.b * (1.0 - np.cos(2.0 * phase))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        double = 2.0 * phase
+        value = c.a * (1.0 - np.cos(phase)) + c.b * (1.0 - np.cos(double))
+    if not np.isfinite(double).all():
+        raise ValueError(f"closed-form work phase 2*omega*t overflowed for omega = "
+                         f"{omega!r}, t up to {float(np.max(t))!r}")
     return float(value) if scalar else value
 
 
@@ -188,6 +198,8 @@ def _refined_max(f: Callable, period: float, n: int,
     f takes an array of points and a single point. Returns (x, f(x), the best
     sample's value).
     """
+    import numpy as np
+
     xs = np.linspace(0.0, period, n, endpoint=False)
     values = f(xs)
     k = int(np.argmax(values))
@@ -232,7 +244,8 @@ def _stationary_max(c: WorkCoefficients) -> float:
     phases = [0.0, math.pi]
     if abs(c.a) <= 4.0 * abs(c.b):
         phases.append(math.acos(-c.a / (4.0 * c.b)))
-    return max(closed_form_work(c, 1.0, phi) for phi in phases)
+    return max(c.a * (1.0 - math.cos(phi)) + c.b * (1.0 - math.cos(2.0 * phi))
+               for phi in phases)
 
 
 def max_work(c: WorkCoefficients, omega: float) -> WorkExtrema:
@@ -245,9 +258,7 @@ def max_work(c: WorkCoefficients, omega: float) -> WorkExtrema:
     branch value and the stationary-point maximum disagree beyond 1e-8
     (cannot happen for coefficients produced by work_coefficients).
     """
-    if not (math.isfinite(omega) and omega > 0 and math.isfinite(2.0 * math.pi / omega)):
-        raise ValueError("omega must be positive and finite, with a finite period "
-                         f"2*pi/omega, got {omega!r}")
+    check_omega(omega)
     branch = classify_branch(c)
     if branch == BRANCH_DEGENERATE:
         raise FlatSignalError(
@@ -308,6 +319,8 @@ def harmonic_fit(series: WorkSeries) -> HarmonicFit:
     Requires at least 16 samples spanning at least one full drive period.
     The reported residual is the maximum absolute fit error.
     """
+    import numpy as np
+
     times = np.asarray(series.times, dtype=float)
     values = np.asarray(series.values, dtype=float)
     if times.size < 16:
@@ -348,6 +361,8 @@ def consistency_report(p: SpinParams, spec: ChargingSpec) -> ConsistencyReport:
     together with the stored work at half period from both paths. Nothing is
     judged pass/fail here; the record is evidence.
     """
+    from .charging import MODES, ChargingSpec, work_curve
+
     coeffs = work_coefficients(p)
     period = 2.0 * math.pi / spec.omega
     half_period = math.pi / spec.omega
@@ -386,6 +401,8 @@ def oracle_peak(p: SpinParams, spec: ChargingSpec) -> float:
     one call and refines the best one by golden section down to 1e-9 of a
     period.
     """
+    from .charging import work_curve
+
     period = 2.0 * math.pi / spec.omega
     _, peak, sampled = _refined_max(work_curve(p, spec), period,
                                     ORACLE_PEAK_SAMPLES, 1e-9 * period)

@@ -22,7 +22,8 @@ from .linalg import (
     tensor,
     unitary_exp,
 )
-from .model import SpinParams, build_total_hamiltonian, gibbs_state
+from .model import build_total_hamiltonian, gibbs_state
+from .params import SpinParams, check_omega
 
 MODES = ("charging_only", "full")
 
@@ -42,10 +43,7 @@ class ChargingSpec:
     mode: str = "charging_only"
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.omega) and self.omega > 0
-                and math.isfinite(2.0 * math.pi / self.omega)):
-            raise ValueError("omega must be positive and finite, with a finite period "
-                             f"2*pi/omega, got {self.omega!r}")
+        check_omega(self.omega)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
@@ -92,8 +90,13 @@ def _energies(frequencies: np.ndarray, weights: np.ndarray,
 
     The sums run in a fixed order of elementwise operations, so a time's
     value does not depend on which block or position it was evaluated in.
+    Raises ValueError when a phase lam_j t overflows.
     """
-    phases = np.exp(-1j * np.multiply.outer(times, frequencies))
+    with np.errstate(over="ignore"):  # checked below
+        angles = np.multiply.outer(times, frequencies)
+    if not np.isfinite(angles).all():
+        raise ValueError(f"oracle phase lam*t overflowed for t up to {float(times.max())!r}")
+    phases = np.exp(-1j * angles)
     back = phases.conj()
     inner = sum(back[:, k, None] * weights[:, k] for k in range(weights.shape[1]))
     terms = phases * inner

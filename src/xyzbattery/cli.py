@@ -15,9 +15,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import __version__
 from .analytics import (
@@ -26,19 +24,18 @@ from .analytics import (
     classify_branch,
     closed_form_work,
     consistency_report,
+    large_B_asymptote,
     max_work,
     oracle_peak,
     work_coefficients,
 )
-from .charging import ChargingSpec, work_series
-from .linalg import hermitian_eig
-from .model import (
-    SpinParams,
-    UnsupportedClosedFormError,
-    build_total_hamiltonian,
-    closed_form_spectrum,
-    gibbs_state,
-)
+from .params import SpinParams, UnsupportedClosedFormError, check_omega
+
+# numpy, model, linalg and charging load only in the handlers that propagate
+# or diagonalise, so the closed-form commands, --help and --version start
+# without them
+if TYPE_CHECKING:
+    from .charging import ChargingSpec
 
 WORK_COLUMNS = ("t", "W_closed", "W_oracle", "mode", "omega")
 SWEEP_COLUMNS = (
@@ -73,6 +70,18 @@ SWEEP_QUANTITIES = CLOSED_FORM_QUANTITIES + ("w_series_peak_oracle",)
 _MODE_FROM_CLI = {"charging-only": "charging_only", "full": "full"}
 _MODE_TO_CLI = {mode: flag for flag, mode in _MODE_FROM_CLI.items()}
 
+
+def __getattr__(name: str):
+    """charging.work_series, bound here on first read: tools that patch the
+    functions the CLI calls look it up as cli.work_series."""
+    if name == "work_series":
+        from .charging import work_series
+
+        globals()[name] = work_series
+        return work_series
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 # ---------------------------------------------------------------------------
 # rendering
 
@@ -87,7 +96,7 @@ def _fmt(value) -> str:
     (quoted if it must be)."""
     if value is None:
         return "nan"
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):  # numpy.float64 included
         return format(float(value), ".17g")
     text = str(value)
     if _CSV_SPECIAL.isdisjoint(text):
@@ -95,10 +104,16 @@ def _fmt(value) -> str:
     return '"' + text.replace('"', '""') + '"'
 
 
+def _is_array(value) -> bool:
+    """A numpy array; without numpy loaded, nothing is one."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(value, np.ndarray)
+
+
 def _row_count(data) -> int:
     """Rows of a table given one entry per column: an array, a list, or one
     value that repeats on every row (a table of single values has one row)."""
-    lengths = {len(v) for v in data if isinstance(v, (list, np.ndarray))}
+    lengths = {len(v) for v in data if isinstance(v, list) or _is_array(v)}
     if len(lengths) > 1:
         raise RuntimeError(f"columns of unequal length: {sorted(lengths)}")
     return lengths.pop() if lengths else 1
@@ -106,7 +121,7 @@ def _row_count(data) -> int:
 
 def _cells(value, rows: int, cell: Callable) -> list:
     """One column's cells; a single value is converted once and repeated."""
-    if isinstance(value, np.ndarray):
+    if _is_array(value):
         value = value.tolist()
     if isinstance(value, list):
         return list(map(cell, value))
@@ -117,7 +132,7 @@ def _render_csv(columns, data) -> str:
     rows = _row_count(data)
     cells = []
     for value in data:
-        float_array = isinstance(value, np.ndarray) and value.dtype.kind == "f"
+        float_array = _is_array(value) and value.dtype.kind == "f"
         # "%.17g" % v is format(v, ".17g"), nan, inf and -0.0 included
         cells.append(_cells(value, rows, "%.17g".__mod__ if float_array else _fmt))
     lines = [",".join(map(_fmt, columns)), *map(",".join, zip(*cells))]
@@ -126,7 +141,7 @@ def _render_csv(columns, data) -> str:
 
 def _json_value(value):
     # strict JSON has no NaN or Infinity: every non-finite float is null
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):  # numpy.float64 included
         return float(value) if math.isfinite(value) else None
     return value
 
@@ -222,15 +237,31 @@ def _spin(q) -> SpinParams:
     return SpinParams(q["J"], q["Jz"], q["gamma"], q["B"], q["beta"])
 
 
-def _grid(ns, start: str, stop: str) -> np.ndarray:
+def _grid(ns, start: str, stop: str) -> list[float]:
     """--steps points from flag start to flag stop: start < stop, and a
-    finite span between them (so finite ends)."""
+    finite span between them (so finite ends).
+
+    The values are numpy.linspace's to the bit: the same operations in the
+    same order, a subnormal span's included.
+    """
     lo, hi = getattr(ns, start), getattr(ns, stop)
-    if not (lo < hi and math.isfinite(hi - lo)):
+    delta = hi - lo
+    if not (lo < hi and math.isfinite(delta)):
         raise ValueError(f"need finite {_flag(start)} < {_flag(stop)}, got {lo} and {hi}")
     if ns.steps < 2:
         raise ValueError(f"--steps must be >= 2, got {ns.steps}")
-    return np.linspace(lo, hi, ns.steps)
+    div = ns.steps - 1
+    step = delta / div
+    if step == 0:  # the span is subnormal: scale before multiplying
+        return [(i / div) * delta + lo for i in range(div)] + [hi]
+    return [i * step + lo for i in range(div)] + [hi]
+
+
+def _drive(omega: float, mode: str = "charging-only") -> ChargingSpec:
+    """The drive of a CLI mode name; this loads the propagation layer."""
+    from .charging import ChargingSpec
+
+    return ChargingSpec(omega, _MODE_FROM_CLI[mode])
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +270,11 @@ def _grid(ns, start: str, stop: str) -> np.ndarray:
 
 
 def _cmd_spectrum(ns) -> list:
+    import numpy as np
+
+    from .linalg import hermitian_eig
+    from .model import build_total_hamiltonian, closed_form_spectrum
+
     p = _spin(vars(ns))
     dec = closed_form_spectrum(p)
     h = build_total_hamiltonian(p)
@@ -257,6 +293,10 @@ def _cmd_spectrum(ns) -> list:
 
 
 def _cmd_gibbs(ns) -> list:
+    import numpy as np
+
+    from .model import gibbs_state
+
     p = _spin(vars(ns))
     rho_oracle = gibbs_state(p, method="oracle")
     try:
@@ -281,7 +321,7 @@ def _cmd_coeffs(ns) -> list:
 
 def _cmd_work(ns) -> list:
     p = _spin(vars(ns))
-    charging = ChargingSpec(ns.omega, _MODE_FROM_CLI[ns.mode])
+    charging = _drive(ns.omega, ns.mode)
     if ns.t_max is None:
         ns.t_max = 2.0 * math.pi / ns.omega
     return _work_curve_columns(p, charging, ns.t_max, ns.samples)
@@ -290,7 +330,7 @@ def _cmd_work(ns) -> list:
 def _cmd_maxwork(ns) -> list:
     p = _spin(vars(ns))
     c = work_coefficients(p)
-    asymptote = 8.0 * p.B if p.B > 0 else math.nan
+    asymptote = large_B_asymptote(p) if p.B > 0 else math.nan
     try:
         ext = max_work(c, ns.omega)
     except FlatSignalError:
@@ -313,22 +353,26 @@ def _sweep_row(inputs, axis: str, value: float, quantity: str) -> list:
     """One SWEEP_COLUMNS row: the inputs' values, with the axis set to value."""
     q = {**inputs, axis: value}
     p = _spin(q)
-    # only the oracle reads --mode; the closed forms take the drive alone
-    charging = ChargingSpec(q["omega"], _MODE_FROM_CLI[q["mode"]]
-                            if quantity == "w_series_peak_oracle" else "charging_only")
+    omega = q["omega"]
+    # only the oracle reads --mode and propagates; the closed forms check the
+    # drive alone
+    if quantity == "w_series_peak_oracle":
+        charging = _drive(omega, q["mode"])
+    else:
+        check_omega(omega)
     c = work_coefficients(p)
     branch = classify_branch(c)
     w_max = w_m = math.nan
     if quantity == "w_max_printed":
         try:
-            ext = max_work(c, charging.omega)
+            ext = max_work(c, omega)
             w_max = ext.w_max
             w_m = ext.w_m if ext.w_m is not None else math.nan
         except FlatSignalError:
             pass
     elif quantity == "w_series_peak_oracle":
         w_max = oracle_peak(p, charging)
-    return [axis, value, p.J, p.Jz, p.gamma, p.B, charging.omega,
+    return [axis, value, p.J, p.Jz, p.gamma, p.B, omega,
             branch, w_max, w_m, c.a, c.b, c.x]
 
 
@@ -355,6 +399,8 @@ def _cmd_sweep(ns) -> list:
 def _work_curve_columns(p: SpinParams, charging: ChargingSpec,
                         t_max: float, samples: int) -> list:
     """WORK_COLUMNS as arrays of both paths' samples, then the mode and drive."""
+    from .charging import work_series
+
     coeffs = work_coefficients(p)
     series = work_series(p, charging, t_max=t_max, n=samples)
     closed = closed_form_work(coeffs, charging.omega, series.times)
@@ -364,7 +410,7 @@ def _work_curve_columns(p: SpinParams, charging: ChargingSpec,
 
 def _figure1(ns) -> list:
     p = _spin(vars(ns))
-    drives = [ChargingSpec(omega, _MODE_FROM_CLI[ns.mode]) for omega in ns.omegas]
+    drives = [_drive(omega, ns.mode) for omega in ns.omegas]
     if ns.t_max is None:
         ns.t_max = 2.0 * 2.0 * math.pi / min(ns.omegas)
     return [(f"figure1_omega{charging.omega:g}",
@@ -373,7 +419,7 @@ def _figure1(ns) -> list:
 
 
 def _figure3(ns) -> list:
-    charging = ChargingSpec(ns.omega, _MODE_FROM_CLI[ns.mode])
+    charging = _drive(ns.omega, ns.mode)
     if ns.t_max is None:
         ns.t_max = 2.0 * 2.0 * math.pi / ns.omega
     return [(f"figure3_B{b:g}",
@@ -395,7 +441,7 @@ def _figure5(ns) -> list:
 
 def _cmd_report(ns) -> list:
     p = _spin(vars(ns))
-    report = consistency_report(p, ChargingSpec(ns.omega))
+    report = consistency_report(p, _drive(ns.omega))
 
     def per_fit(field: str) -> list:
         return [getattr(fit, field) for fit in report.fits]

@@ -14,40 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, tensor
+from .params import SpinParams, UnsupportedClosedFormError, eta_value, sinhc
 
 # |gamma*J| below this treats the |00>/|11> corner block as already diagonal
 DEGENERATE_CORNER_TOL = 1e-12
-# eta below this evaluates sinh(eta)/eta by its series limit
-SINHC_SERIES_TOL = 1e-8
 
 # two-spin operators of the battery Hamiltonian, built once
 _XX = tensor(SIGMA_X, SIGMA_X)
 _YY = tensor(SIGMA_Y, SIGMA_Y)
 _ZZ = tensor(SIGMA_Z, SIGMA_Z)
 _Z_TOTAL = tensor(SIGMA_Z, IDENTITY_2) + tensor(IDENTITY_2, SIGMA_Z)
-
-
-class UnsupportedClosedFormError(ValueError):
-    """The closed-form thermal expressions are specific to beta = 1."""
-
-
-@dataclass(frozen=True)
-class SpinParams:
-    """Battery parameters: couplings, field, and inverse temperature."""
-
-    J: float
-    Jz: float
-    gamma: float
-    B: float
-    beta: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name in ("J", "Jz", "gamma", "B", "beta"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta!r}")
 
 
 @dataclass(frozen=True)
@@ -96,18 +72,6 @@ class ThermalElements:
     nu: float
     epsilon: float
     Z: float
-
-
-def sinhc(x: float) -> float:
-    """sinh(x)/x with the removable singularity at 0 handled by series."""
-    if abs(x) < SINHC_SERIES_TOL:
-        return 1.0 + x * x / 6.0
-    return math.sinh(x) / x
-
-
-def eta_value(p: SpinParams) -> float:
-    """Field-anisotropy energy scale sqrt(B^2 + (gamma*J)^2)."""
-    return math.hypot(p.B, p.gamma * p.J)
 
 
 def build_spin_hamiltonian(p: SpinParams) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import io
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from xyzbattery import cli
@@ -536,9 +537,15 @@ class TestOverflowExits2:
         ("spectrum", "--J", "1e308", "--Jz", "1e308", "--gamma", "1", "--B", "1e308"),
         ("spectrum", "--J", "1e-11", "--Jz", "0", "--gamma", "1", "--B", "1e300"),
         ("spectrum", "--J", "1e-11", "--Jz", "0", "--gamma", "1", "--B", "1e150"),
+        ("work", "--J", "0.2", "--Jz", "0.2", "--gamma", "0.5", "--B", "1",
+         "--t-max", "1e308", "--samples", "3"),
+        ("figure", "1", "--t-max", "1e308", "--samples", "3"),
+        ("work", "--J", "0.2", "--Jz", "500", "--gamma", "0.5", "--B", "1",
+         "--mode", "full", "--t-max", "1e306", "--samples", "3"),
     ], ids=["coeffs-B", "work-B", "report-B", "maxwork-Jz", "gibbs-B", "gibbs-product",
             "sweep-B", "spectrum-residual", "coeffs-b1", "spectrum-energies",
-            "spectrum-ratio", "spectrum-zero-vector"])
+            "spectrum-ratio", "spectrum-zero-vector", "work-t_max", "figure1-t_max",
+            "work-full-t_max"])
     def test_overflow_exits_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
@@ -846,6 +853,37 @@ class TestRangeRule:
                                     f"{cli._flag(hi)}=2", "--out", str(out))
         assert code == 2 and stdout == "" and not out.exists()
         assert err.startswith("error: --steps must be >= 2")
+
+
+_LARGEST = 1.7976931348623157e308
+# ends a few hundred subnormal steps apart: delta / (steps - 1) often rounds to 0
+_SUBNORMAL_SPANS = st.tuples(st.integers(-2**30, 2**30), st.integers(1, 400)).map(
+    lambda ak: (ak[0] * 5e-324, (ak[0] + ak[1]) * 5e-324))
+# ends near the largest float, of either sign, with a span that may just fit
+_HUGE_SPANS = st.tuples(st.floats(-_LARGEST, _LARGEST), st.floats(1e307, _LARGEST)).map(
+    lambda pair: (pair[0], pair[0] + pair[1] if pair[0] < 0 else pair[0] - pair[1])).map(
+    sorted)
+_ANY_SPANS = st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                       st.floats(allow_nan=False, allow_infinity=False)).map(sorted)
+
+
+class TestGridIsLinspace:
+    """_grid, which builds sweep and figure ranges, is numpy.linspace to the bit."""
+
+    @settings(derandomize=True, deadline=None, max_examples=600, database=None)
+    @given(st.one_of(_ANY_SPANS, _SUBNORMAL_SPANS, _HUGE_SPANS), st.integers(2, 200))
+    @example((0.0, 5e-324), 3)
+    @example((-8e307, 9e307), 200)
+    @example((-1.0, 1.0), 101)
+    def test_grid_matches_linspace(self, ends, steps):
+        lo, hi = ends
+        assume(lo < hi and math.isfinite(hi - lo))
+        grid = cli._grid(argparse.Namespace(lo=lo, hi=hi, steps=steps), "lo", "hi")
+        # linspace computes the last point as well before it sets it to stop,
+        # and near the largest float that product overflows
+        with np.errstate(over="ignore"):
+            expected = np.linspace(lo, hi, steps)
+        assert list(map(float.hex, grid)) == [float.hex(float(v)) for v in expected]
 
 
 class TestLibraryChecksExit2:
