@@ -161,24 +161,43 @@ def work_coefficients(p: SpinParams) -> WorkCoefficients:
     return WorkCoefficients(a=a, b=b, b1=b1, b2=b2, b3=b3, d=d, x=x)
 
 
-def closed_form_work(c: WorkCoefficients, omega: float, t):
-    """Closed-form stored work a*(1-cos(w t)) + b*(1-cos(2 w t)).
+def cosine_work(half_gaps, amplitudes, t):
+    """Stored work as a cosine sum: sum_i A_i*(1 - cos(2*(h_i*t))).
 
-    The grouping makes W(0) exactly zero. Accepts scalar or array times.
-    Raises ValueError when the phase 2*omega*t overflows.
+    h_i are half-frequencies and A_i amplitudes. The terms are added in
+    order, starting from +0.0, so W(0) is exactly +0.0 and a time's value
+    does not depend on where it sits in an array. A scalar time gives a
+    float, an array of times an array of the same shape. Raises ValueError
+    for a non-finite time and when a phase 2*h_i*t overflows.
     """
     import numpy as np
 
     # a scalar time stays a scalar: 0-d array arithmetic costs microseconds
-    scalar = np.isscalar(t)
-    phase = omega * (t if scalar else np.asarray(t, dtype=float))
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        double = 2.0 * phase
-        value = c.a * (1.0 - np.cos(phase)) + c.b * (1.0 - np.cos(double))
-    if not np.isfinite(double).all():
-        raise ValueError(f"closed-form work phase 2*omega*t overflowed for omega = "
-                         f"{omega!r}, t up to {float(np.max(t))!r}")
-    return float(value) if scalar else value
+    scalar = np.ndim(t) == 0
+    times = float(t) if scalar else np.asarray(t, dtype=float)
+    finite = np.isfinite(times)
+    if not finite.all():
+        bad = times if scalar else times[~finite][0]
+        raise ValueError(f"time must be finite, got {float(bad)!r}")
+    total = 0.0 if scalar else np.zeros(times.shape)
+    with np.errstate(over="ignore"):  # checked below
+        for half_gap, amplitude in zip(half_gaps, amplitudes):
+            phase = 2.0 * (half_gap * times)
+            if not np.isfinite(phase).all():
+                raise ValueError(
+                    f"work phase 2*h*t overflowed for h = {float(half_gap)!r}, "
+                    f"t up to {float(np.max(np.abs(times)))!r}")
+            total = total + amplitude * (1.0 - np.cos(phase))
+    return float(total) if scalar else total
+
+
+def closed_form_work(c: WorkCoefficients, omega: float, t):
+    """Closed-form stored work a*(1-cos(w t)) + b*(1-cos(2 w t)).
+
+    One cosine_work call: W(0) is exactly zero, scalar or array times.
+    Raises ValueError when the phase 2*omega*t overflows.
+    """
+    return cosine_work((omega / 2.0, omega), (c.a, c.b), t)
 
 
 def classify_branch(c: WorkCoefficients) -> str:

@@ -13,15 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    IDENTITY_2,
-    SIGMA_X,
-    TRACE_IMAG_TOL,
-    expectation,
-    hermitian_eig,
-    tensor,
-    unitary_exp,
-)
+from .analytics import cosine_work
+from .linalg import IDENTITY_2, SIGMA_X, expectation, hermitian_eig, tensor, unitary_exp
 from .model import build_total_hamiltonian, gibbs_state
 from .params import SpinParams, check_omega
 
@@ -29,10 +22,6 @@ MODES = ("charging_only", "full")
 
 # the drive's spin operator (X1 + X2)/2, built once
 _SX_TOTAL = (tensor(SIGMA_X, IDENTITY_2) + tensor(IDENTITY_2, SIGMA_X)) / 2.0
-
-# times per vectorised block: the complex temporaries stay a fixed size
-# however many samples a curve is asked for
-TIME_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -84,58 +73,26 @@ def evolve(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     return u @ np.asarray(rho, dtype=complex) @ u.conj().T
 
 
-def _energies(frequencies: np.ndarray, weights: np.ndarray,
-              times: np.ndarray) -> np.ndarray:
-    """Tr[H rho(t)] = sum_jk P_j M_jk conj(P_k), P_j = exp(-i lam_j t), 1-D times.
-
-    The sums run in a fixed order of elementwise operations, so a time's
-    value does not depend on which block or position it was evaluated in.
-    Raises ValueError when a phase lam_j t overflows.
-    """
-    with np.errstate(over="ignore"):  # checked below
-        angles = np.multiply.outer(times, frequencies)
-    if not np.isfinite(angles).all():
-        raise ValueError(f"oracle phase lam*t overflowed for t up to {float(times.max())!r}")
-    phases = np.exp(-1j * angles)
-    back = phases.conj()
-    inner = sum(back[:, k, None] * weights[:, k] for k in range(weights.shape[1]))
-    terms = phases * inner
-    trace = sum(terms[:, j] for j in range(weights.shape[0]))
-    residue = float(np.max(np.abs(trace.imag)))
-    if residue > TRACE_IMAG_TOL:
-        raise ValueError(f"trace has imaginary residue {residue:g} above 1e-12")
-    return trace.real
-
-
 @dataclass(frozen=True, eq=False)
 class WorkCurve:
-    """Stored work W(t) for one (params, mode, omega), in the generator eigenbasis.
+    """Stored work W(t) for one (params, mode, omega) as a cosine sum.
 
     With the generator G = V diag(lam) V^dagger, H' = V^dagger H V and
     rho' = V^dagger rho0 V, the stored work is
-    W(t) = sum_jk H'_kj rho'_jk exp(-i (lam_j - lam_k) t) - E0,
-    where weights holds M_jk = H'_kj rho'_jk and E0 is the same contraction
-    at t = 0, so W(0) is exactly zero.
+    W(t) = sum_jk M_jk (exp(-i (lam_j - lam_k) t) - 1), M_jk = H'_kj rho'_jk.
+    H, the drive and rho0 are real symmetric, so M is real and W is even in
+    t: W(t) = sum_{j<k} -2 M_jk (1 - cos((lam_k - lam_j) t)). half_gaps holds
+    lam_k/2 - lam_j/2 and amplitudes -2 Re M_jk, one entry per pair j < k.
+    Half-gaps stay finite where a gap, such as 2*omega, would overflow.
     """
 
     spec: ChargingSpec
-    frequencies: np.ndarray
-    weights: np.ndarray
-    e0: float
+    half_gaps: np.ndarray
+    amplitudes: np.ndarray
 
     def __call__(self, t):
         """W at a scalar time (returns float) or an array of times (same shape)."""
-        times = np.asarray(t, dtype=float)
-        flat = times.ravel()
-        finite = np.isfinite(flat)
-        if not finite.all():
-            raise ValueError(f"time must be finite, got {flat[~finite][0]!r}")
-        values = np.empty(flat.size)
-        for start in range(0, flat.size, TIME_CHUNK):
-            block = slice(start, start + TIME_CHUNK)
-            values[block] = _energies(self.frequencies, self.weights, flat[block])
-        values -= self.e0
-        return float(values[0]) if times.ndim == 0 else values.reshape(times.shape)
+        return cosine_work(self.half_gaps, self.amplitudes, t)
 
     def series(self, t_max: float, n: int) -> WorkSeries:
         """W sampled uniformly on [0, t_max] with inclusive endpoints."""
@@ -163,8 +120,10 @@ def work_curve(p: SpinParams, spec: ChargingSpec) -> WorkCurve:
     v_dag = v.conj().T
     rho0 = gibbs_state(p, method="oracle")
     weights = (v_dag @ h @ v).T * (v_dag @ rho0 @ v)
-    e0 = float(_energies(eig.eigenvalues, weights, np.zeros(1))[0])
-    return WorkCurve(spec=spec, frequencies=eig.eigenvalues, weights=weights, e0=e0)
+    half = eig.eigenvalues / 2.0
+    j, k = np.triu_indices(half.size, 1)
+    return WorkCurve(spec=spec, half_gaps=half[k] - half[j],
+                     amplitudes=-2.0 * weights.real[j, k])
 
 
 def stored_work(p: SpinParams, spec: ChargingSpec, t: float) -> float:

@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+# not called here: perfbench/tracer.py patches and restores cli.ThreadPoolExecutor
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
@@ -354,15 +355,20 @@ def _sweep_row(inputs, axis: str, value: float, quantity: str) -> list:
     q = {**inputs, axis: value}
     p = _spin(q)
     omega = q["omega"]
-    # only the oracle reads --mode and propagates; the closed forms check the
-    # drive alone
+    w_max = w_m = math.nan
     if quantity == "w_series_peak_oracle":
-        charging = _drive(omega, q["mode"])
+        # only the oracle reads --mode and propagates; it needs no closed
+        # form, so its closed-form cells read nan where beta != 1 or the
+        # coefficients overflow
+        w_max = oracle_peak(p, _drive(omega, q["mode"]))
+        try:
+            c = work_coefficients(p)
+        except ValueError:
+            return [axis, value, p.J, p.Jz, p.gamma, p.B, omega,
+                    math.nan, w_max, w_m, math.nan, math.nan, math.nan]
     else:
         check_omega(omega)
-    c = work_coefficients(p)
-    branch = classify_branch(c)
-    w_max = w_m = math.nan
+        c = work_coefficients(p)
     if quantity == "w_max_printed":
         try:
             ext = max_work(c, omega)
@@ -370,22 +376,13 @@ def _sweep_row(inputs, axis: str, value: float, quantity: str) -> list:
             w_m = ext.w_m if ext.w_m is not None else math.nan
         except FlatSignalError:
             pass
-    elif quantity == "w_series_peak_oracle":
-        w_max = oracle_peak(p, charging)
     return [axis, value, p.J, p.Jz, p.gamma, p.B, omega,
-            branch, w_max, w_m, c.a, c.b, c.x]
+            classify_branch(c), w_max, w_m, c.a, c.b, c.x]
 
 
-def _sweep_columns(inputs, axis: str, values, quantity: str, jobs: int = 1) -> list:
+def _sweep_columns(inputs, axis: str, values, quantity: str) -> list:
     """One `_sweep_row` per value, transposed to one list per SWEEP_COLUMNS name."""
-    def row(value):
-        return _sweep_row(inputs, axis, float(value), quantity)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(row, values))
-    else:
-        rows = [row(v) for v in values]
+    rows = [_sweep_row(inputs, axis, float(value), quantity) for value in values]
     return [list(column) for column in zip(*rows)]
 
 
@@ -393,7 +390,7 @@ def _cmd_sweep(ns) -> list:
     values = _grid(ns, "start", "stop")
     if ns.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {ns.jobs}")
-    return _sweep_columns(vars(ns), ns.axis, values, ns.quantity, ns.jobs)
+    return _sweep_columns(vars(ns), ns.axis, values, ns.quantity)
 
 
 def _work_curve_columns(p: SpinParams, charging: ChargingSpec,
@@ -471,7 +468,7 @@ FLAGS = {
     "out": {"help": "write output here (figure: directory)"},
     "format": {"choices": ("csv", "json"), "help": "output format"},
     "config": {"help": "JSON file of flag values; explicit flags override it"},
-    "jobs": {"type": int, "help": "parallel sweep worker threads"},
+    "jobs": {"type": int, "help": "accepted for compatibility; no effect, sweeps run serially"},
     "axis": {"choices": SWEEP_AXES},
     "start": {"type": float},
     "stop": {"type": float},

@@ -20,6 +20,7 @@ from xyzbattery.analytics import (
     classify_branch,
     closed_form_work,
     consistency_report,
+    cosine_work,
     grid_search_max,
     harmonic_fit,
     large_B_asymptote,
@@ -123,6 +124,49 @@ class TestClosedFormWork:
         values = closed_form_work(c, 1.0, times)
         assert values.shape == times.shape
         assert values[0] == 0.0
+
+
+class TestCosineWork:
+    """The one evaluator behind the closed form and the oracle."""
+
+    def test_start_is_positive_zero(self):
+        # a negative amplitude times 1 - cos(0) is -0.0; the sum starts at +0.0
+        assert format(cosine_work([0.5, 2.0], [-1.0, -3.0], 0.0), ".17g") == "0"
+        values = cosine_work([0.5, 2.0], [-1.0, -3.0], np.zeros(3))
+        assert np.array_equal(np.signbit(values), [False] * 3)
+
+    def test_scalar_float_and_array_shape(self):
+        rng = np.random.default_rng(131)
+        half_gaps, amplitudes = rng.uniform(-3, 3, 6), rng.uniform(-2, 2, 6)
+        times = rng.uniform(-10, 10, (4, 3))
+        values = cosine_work(half_gaps, amplitudes, times)
+        assert values.shape == (4, 3)
+        scalars = [cosine_work(half_gaps, amplitudes, float(t)) for t in times.ravel()]
+        assert all(type(w) is float for w in scalars)
+        assert np.array_equal(values.ravel(), scalars)
+        # a time's value does not depend on where it sits in the array
+        assert np.array_equal(cosine_work(half_gaps, amplitudes, times.ravel()[::-1]),
+                              values.ravel()[::-1])
+
+    def test_closed_form_is_the_two_harmonic_formula_bit_for_bit(self):
+        rng = np.random.default_rng(137)
+        for _ in range(200):
+            c = work_coefficients(draw_params(rng))
+            omega = float(np.exp(rng.uniform(-20, 20)))
+            times = rng.uniform(0, 50, 64) / omega
+            phase = omega * times
+            expected = c.a * (1.0 - np.cos(phase)) + c.b * (1.0 - np.cos(2.0 * phase))
+            assert np.array_equal(closed_form_work(c, omega, times), expected)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, np.array([1.0, -math.inf])])
+    def test_rejects_non_finite_time(self, t):
+        with pytest.raises(ValueError, match="time must be finite"):
+            cosine_work([1.0], [1.0], t)
+
+    @pytest.mark.parametrize("t", [1e308, np.array([0.0, 1e308])])
+    def test_phase_overflow_raises(self, t):
+        with pytest.raises(ValueError, match="overflowed"):
+            cosine_work([0.5, 1.0], [1.0, 1.0], t)
 
 
 class TestClassifyBranch:

@@ -11,7 +11,6 @@ from conftest import FIG1_PARAMS, draw_params, expm_taylor, random_density
 from xyzbattery.analytics import harmonic_fit, work_coefficients
 from xyzbattery.charging import (
     MODES,
-    TIME_CHUNK,
     ChargingSpec,
     build_charging_hamiltonian,
     ergotropy,
@@ -188,6 +187,11 @@ def curve_draws(rng, box=80, per_edge=10):
     return [(p, rng.uniform(0.25, 3.0)) for p in draws]
 
 
+# a block size: the position-independence checks below use arrays of just
+# over one and two blocks
+TIME_CHUNK = 512
+
+
 class TestWorkCurve:
     def test_matches_propagated_oracle(self):
         rng = np.random.default_rng(101)
@@ -247,6 +251,24 @@ class TestWorkCurve:
                         curve(t)
                 with pytest.raises(ValueError):
                     stored_work(p, spec, math.inf)
+
+
+class TestCosineSum:
+    """The oracle is a real cosine sum over the generator's eigenvalue pairs."""
+
+    def test_charging_only_gaps_are_drive_harmonics_and_ratio_a_is_4(self):
+        rng = np.random.default_rng(127)
+        for p, omega in curve_draws(rng, box=260, per_edge=10):
+            curve = work_curve(p, ChargingSpec(omega=omega))
+            gaps = 2.0 * curve.half_gaps
+            assert gaps.shape == curve.amplitudes.shape == (6,)
+            harmonics = np.array([0.0, omega, 2.0 * omega])
+            off = np.min(np.abs(gaps[:, None] - harmonics), axis=1)
+            assert np.all(off <= 1e-12 * omega)
+            # the omega harmonic carries a quarter of the printed a
+            a = work_coefficients(p).a
+            at_omega = curve.amplitudes[np.abs(gaps - omega) <= 1e-12 * omega].sum()
+            assert abs(4.0 * at_omega - a) <= 1e-12 * max(1.0, abs(a))
 
 
 class TestWorkSeries:

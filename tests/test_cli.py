@@ -18,7 +18,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from xyzbattery import cli
-from xyzbattery.analytics import max_work, work_coefficients
+from xyzbattery.analytics import max_work, oracle_peak, work_coefficients
 from xyzbattery.charging import ChargingSpec
 from xyzbattery.model import SpinParams
 
@@ -895,13 +895,11 @@ class TestLibraryChecksExit2:
         ("work", *FIG1_FLAGS, "--t-max=-1"),
         (*_RANGES["sweep"][0], "--start", "1", "--stop", "2", "--steps", "3",
          "--beta", "2"),
-        ("sweep", "--axis", "B", "--quantity", "w_series_peak_oracle", *FIG1_FLAGS[:6],
-         "--start", "1", "--stop", "2", "--steps", "3", "--beta", "2"),
         ("maxwork", *FIG1_FLAGS, "--omega", "1e-320"),
         (*_RANGES["sweep"][0], "--start", "1", "--stop", "2", "--steps", "3",
          "--omega", "1e-320"),
     ], ids=["work-samples", "work-t-max-zero", "work-t-max-negative", "sweep-beta",
-            "sweep-oracle-beta", "maxwork-subnormal-drive", "sweep-subnormal-drive"])
+            "maxwork-subnormal-drive", "sweep-subnormal-drive"])
     def test_exits_2_without_output(self, capsys, tmp_path, argv):
         out = tmp_path / "out.csv"
         code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
@@ -909,6 +907,51 @@ class TestLibraryChecksExit2:
         assert err.startswith("error:")
         if "1e-320" in argv:
             assert "finite period" in err
+
+
+class TestOracleSweepWithoutClosedForm:
+    """The oracle sweep needs no closed form: where the coefficients are
+    undefined (beta != 1) or overflow, its closed-form cells read nan and
+    every row still prints the oracle's peak."""
+
+    @pytest.mark.parametrize("flags, beta", [
+        (("--axis", "B", *FIG1_FLAGS[:6], "--start", "1", "--stop", "2", "--steps", "3",
+          "--beta", "2"), 2.0),
+        (("--axis", "omega", "--start", "1", "--stop", "2", "--steps", "3",
+          "--J", "449.67", "--Jz", "-1", "--gamma", "-5.92", "--B", "-1"), 1.0),
+    ], ids=["sweep-oracle-beta", "sweep-oracle-coefficient-overflow"])
+    def test_nan_closed_form_cells(self, capsys, flags, beta):
+        code, out, err = run_cli(capsys, "sweep", "--quantity", "w_series_peak_oracle",
+                                 *flags)
+        assert code == 0 and err == ""
+        _, rows = parse_csv(out)
+        assert len(rows) == 3
+        for r in rows:
+            assert [r[k] for k in ("branch", "w_m", "a", "b", "x")] == ["nan"] * 5
+            p = SpinParams(J=float(r["J"]), Jz=float(r["Jz"]), gamma=float(r["gamma"]),
+                           B=float(r["B"]), beta=beta)
+            assert float(r["w_max"]) == oracle_peak(p, ChargingSpec(omega=float(r["omega"])))
+
+
+class TestHugeDrive:
+    """At a drive near the largest float the oracle's half-gaps stay finite,
+    where the gap 2*omega would overflow."""
+
+    @pytest.mark.parametrize("mode", ["charging-only", "full"])
+    def test_work_exits_0(self, capsys, mode):
+        code, out, err = run_cli(capsys, "work", *FIG1_FLAGS, "--omega", "1e308",
+                                 "--samples", "3", "--mode", mode)
+        assert code == 0 and err == ""
+        assert len(parse_csv(out)[1]) == 3
+
+    def test_charging_only_depends_on_omega_t_alone(self, capsys):
+        columns = []
+        for omega in ("1", "1e308"):
+            code, out, _ = run_cli(capsys, "work", *FIG1_FLAGS, "--omega", omega,
+                                   "--samples", "3")
+            assert code == 0
+            columns.append([float(r["W_oracle"]) for r in parse_csv(out)[1]])
+        assert np.max(np.abs(np.subtract(*columns))) <= 1e-12
 
 
 class TestUnwritableOut:
