@@ -8,7 +8,6 @@ fits and a consistency report. Neither path silently overrides the other.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
@@ -58,31 +57,22 @@ class WorkCoefficients:
 class WorkExtrema:
     """Extrema of the closed-form work signal over one drive period.
 
-    branch max1 (|a| > |4b|): single maximum w_max = 2a at t1 = n*pi/omega,
-    n odd. branch max2 (|a| <= |4b|, b > 0): two maxima per period at phases
+    branch max1 (|a| > |4b|): single maximum w_max = 2a at t = pi/omega.
+    branch max2 (|a| <= |4b|, b > 0): two maxima per period at phases
     arccos(-x) and 2*pi - arccos(-x) with w_max = 2b + a + a^2/(8b), and the
     in-between minimum w_m = 2a at phase pi. If b < 0 while |a| <= |4b| the
     two-maximum formulas describe minima instead; the actual maximum is then
-    2a at phase pi and the max2-only fields are left unset. max_work has
-    verified w_max against the signal's stationary points. w_max_grid is an
-    independent dense-grid maximum of the same signal, computed on first read.
+    2a at phase pi and the max2-only fields are left unset. peak_times holds
+    the times of the maxima within the period, ascending. max_work has
+    verified w_max against the signal's stationary points.
     """
 
     branch: str
     w_max: float
     w_m: float | None
-    t1_times: tuple[float, ...]
-    t2_times: tuple[float, ...]
+    peak_times: tuple[float, ...]
     delta_phi: float | None
     delta_t: float | None
-    n1: int | None
-    n2: int | None
-    coefficients: WorkCoefficients
-
-    @functools.cached_property
-    def w_max_grid(self) -> float:
-        """grid_search_max's value for the coefficients, computed on first read."""
-        return grid_search_max(self.coefficients)[1]
 
 
 @dataclass(frozen=True)
@@ -113,7 +103,6 @@ class ModeFit:
 class ConsistencyReport:
     """Closed-form vs dynamics reconciliation record; no verdict attached."""
 
-    params: SpinParams
     omega: float
     a_printed: float
     b_printed: float
@@ -271,8 +260,7 @@ def max_work(c: WorkCoefficients, omega: float) -> WorkExtrema:
     """Maximum stored work of the closed form, verified at stationary points.
 
     The branch value is checked against the largest value of the signal
-    itself at its stationary phases, which is the exact maximum. The
-    dense-grid value w_max_grid is computed only on first read. Raises
+    itself at its stationary phases, which is the exact maximum. Raises
     FlatSignalError when both harmonics vanish. Raises RuntimeError if the
     branch value and the stationary-point maximum disagree beyond 1e-8
     (cannot happen for coefficients produced by work_coefficients).
@@ -287,29 +275,19 @@ def max_work(c: WorkCoefficients, omega: float) -> WorkExtrema:
     w_m: float | None = None
     delta_phi: float | None = None
     delta_t: float | None = None
-    n1: int | None = None
-    n2: int | None = None
-    t1_times: tuple[float, ...] = ()
-    t2_times: tuple[float, ...] = ()
 
-    if branch == BRANCH_MAX1:
-        w_max = 2.0 * c.a
-        t1_times = (math.pi / omega,)
-        n1 = 1
-    elif c.b > 0:
+    if branch == BRANCH_MAX2 and c.b > 0:
         w_max = 2.0 * c.b + c.a + c.a * c.a / (8.0 * c.b)
         w_m = 2.0 * c.a
         phi = math.acos(-c.x)
-        t2_times = (phi / omega, (2.0 * math.pi - phi) / omega)
-        n2 = 0
+        peak_times = (phi / omega, (2.0 * math.pi - phi) / omega)
         delta_phi = 2.0 * math.pi - 2.0 * phi
         delta_t = delta_phi / omega
     else:
-        # b < 0: the two-maximum formulas describe the minima; the true
-        # maximum sits at phase pi with value 2a
+        # max1, or b < 0, where the two-maximum formulas describe the
+        # minima: the maximum sits at phase pi with value 2a
         w_max = 2.0 * c.a
-        t2_times = (math.pi / omega,)
-        n2 = 0
+        peak_times = (math.pi / omega,)
 
     w_stationary = _stationary_max(c)
     if abs(w_stationary - w_max) > MAX_VALUE_TOL:
@@ -319,10 +297,8 @@ def max_work(c: WorkCoefficients, omega: float) -> WorkExtrema:
             f"coefficients {c!r})"
         )
 
-    return WorkExtrema(
-        branch=branch, w_max=w_max, w_m=w_m, t1_times=t1_times, t2_times=t2_times,
-        delta_phi=delta_phi, delta_t=delta_t, n1=n1, n2=n2, coefficients=c,
-    )
+    return WorkExtrema(branch=branch, w_max=w_max, w_m=w_m, peak_times=peak_times,
+                       delta_phi=delta_phi, delta_t=delta_t)
 
 
 def large_B_asymptote(p: SpinParams) -> float:
@@ -404,7 +380,6 @@ def consistency_report(p: SpinParams, spec: ChargingSpec) -> ConsistencyReport:
             )
         )
     return ConsistencyReport(
-        params=p,
         omega=spec.omega,
         a_printed=coeffs.a,
         b_printed=coeffs.b,

@@ -44,7 +44,6 @@ class WorkSeries:
     times: np.ndarray
     values: np.ndarray
     omega: float
-    mode: str
 
 
 def build_charging_hamiltonian(spec: ChargingSpec) -> np.ndarray:
@@ -101,8 +100,7 @@ class WorkCurve:
         if not (math.isfinite(t_max) and t_max > 0):
             raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
         times = np.linspace(0.0, t_max, int(n))
-        return WorkSeries(times=times, values=self(times),
-                          omega=self.spec.omega, mode=self.spec.mode)
+        return WorkSeries(times=times, values=self(times), omega=self.spec.omega)
 
 
 def work_curve(p: SpinParams, spec: ChargingSpec) -> WorkCurve:
@@ -124,14 +122,6 @@ def work_curve(p: SpinParams, spec: ChargingSpec) -> WorkCurve:
     j, k = np.triu_indices(half.size, 1)
     return WorkCurve(spec=spec, half_gaps=half[k] - half[j],
                      amplitudes=-2.0 * weights.real[j, k])
-
-
-def stored_work(p: SpinParams, spec: ChargingSpec, t: float) -> float:
-    """Energy gained by the thermal battery after driving for time t.
-
-    Exactly zero at t = 0.
-    """
-    return work_curve(p, spec)(t)
 
 
 def work_series(p: SpinParams, spec: ChargingSpec, t_max: float, n: int) -> WorkSeries:

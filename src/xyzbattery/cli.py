@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import __version__
 from .analytics import (
-    BRANCH_MAX2,
     FlatSignalError,
     classify_branch,
     closed_form_work,
@@ -334,19 +333,17 @@ def _cmd_maxwork(ns) -> list:
     asymptote = large_B_asymptote(p) if p.B > 0 else math.nan
     try:
         ext = max_work(c, ns.omega)
-    except FlatSignalError:
-        return ["flat", math.nan, math.nan, math.nan, math.nan, math.nan,
-                math.nan, math.nan, asymptote, c.a, c.b, c.x,
-                p.J, p.Jz, p.gamma, p.B, p.beta, ns.omega]
-    peaks = ext.t1_times + ext.t2_times
-    t1 = peaks[0]
-    t2 = peaks[1] if len(peaks) > 1 else math.nan
-    # unit-mixed variant of the peak separation, kept for comparison
-    delta_t_mixed = math.nan
-    if ext.branch == BRANCH_MAX2 and ext.delta_phi is not None:
-        delta_t_mixed = 2.0 * math.pi - (2.0 / ns.omega) * math.acos(-c.x)
-    return [ext.branch, ext.w_max, ext.w_m, t1, t2, ext.delta_phi,
-            ext.delta_t, delta_t_mixed, asymptote, c.a, c.b, c.x,
+    except FlatSignalError:  # no extremum: w_max through delta_t_mixed read nan
+        extrema = ["flat"] + [math.nan] * 7
+    else:
+        t1, t2 = (*ext.peak_times, math.nan)[:2]
+        # unit-mixed variant of the peak separation, kept for comparison
+        delta_t_mixed = math.nan
+        if ext.delta_phi is not None:
+            delta_t_mixed = 2.0 * math.pi - (2.0 / ns.omega) * math.acos(-c.x)
+        extrema = [ext.branch, ext.w_max, ext.w_m, t1, t2, ext.delta_phi,
+                   ext.delta_t, delta_t_mixed]
+    return [*extrema, asymptote, c.a, c.b, c.x,
             p.J, p.Jz, p.gamma, p.B, p.beta, ns.omega]
 
 

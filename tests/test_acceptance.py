@@ -31,7 +31,7 @@ from xyzbattery.charging import (
     ergotropy,
     evolve,
     propagator,
-    stored_work,
+    work_curve,
     work_series,
 )
 from xyzbattery.linalg import expectation, hermitian_eig, unitary_exp
@@ -142,7 +142,7 @@ def test_criterion_05_passivity_and_ergotropy():
         spec = ChargingSpec(omega=rng.uniform(0.3, 2.0))
         for t in rng.uniform(0.0, 12.0, 5):
             rho_t = evolve(rho0, propagator(p, spec, t))
-            gap = abs(ergotropy(rho_t, h) - stored_work(p, spec, t))
+            gap = abs(ergotropy(rho_t, h) - work_curve(p, spec)(t))
             worst_match = max(worst_match, gap)
     assert worst_gibbs < 1e-12
     assert worst_match < 1e-10
@@ -180,7 +180,7 @@ def test_criterion_07_oracle_spot_value():
     u_series = expm_taylor(-1j * t_half * h_c)
     w_spectral = expectation(h, evolve(rho0, u_spectral)) - e0
     w_series = expectation(h, evolve(rho0, u_series)) - e0
-    w_product = stored_work(p, DRIVE, t_half)
+    w_product = work_curve(p, DRIVE)(t_half)
 
     eta = eta_value(p)
     d = eta * (math.exp(p.Jz) * math.cosh(p.J) + math.cosh(eta))
@@ -262,15 +262,15 @@ def test_criterion_10_large_field_linearity():
 def test_criterion_11_periodicity_and_zero():
     c = work_coefficients(FIG1_PARAMS)
     assert closed_form_work(c, 1.0, 0.0) == 0.0
-    assert stored_work(FIG1_PARAMS, DRIVE, 0.0) == 0.0
+    assert work_curve(FIG1_PARAMS, DRIVE)(0.0) == 0.0
     period = 2.0 * math.pi
     rng = np.random.default_rng(2011)
     worst = 0.0
     for t in rng.uniform(0.0, period, 25):
         gap_closed = abs(closed_form_work(c, 1.0, t)
                          - closed_form_work(c, 1.0, t + period))
-        gap_oracle = abs(stored_work(FIG1_PARAMS, DRIVE, t)
-                         - stored_work(FIG1_PARAMS, DRIVE, t + period))
+        gap_oracle = abs(work_curve(FIG1_PARAMS, DRIVE)(t)
+                         - work_curve(FIG1_PARAMS, DRIVE)(t + period))
         worst = max(worst, gap_closed, gap_oracle)
     assert worst < 1e-10
     _passed(11, f"both paths exactly zero at t=0; periodicity gap {worst:.2e}")

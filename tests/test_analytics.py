@@ -193,10 +193,9 @@ class TestMaxWork:
         assert ext.branch == BRANCH_MAX1
         assert abs(ext.w_max - TWO_A_FIG1) < 1e-13
         assert abs(ext.w_max - 3.369) < 0.001
-        assert ext.t1_times == (math.pi,)
-        assert ext.n1 == 1
+        assert ext.peak_times == (math.pi,)
         assert ext.w_m is None
-        assert abs(ext.w_max_grid - ext.w_max) < 1e-8
+        assert abs(grid_search_max(c)[1] - ext.w_max) < 1e-8
 
     def test_zero_field_two_peaks(self):
         p = SpinParams(J=0.2, Jz=0.2, gamma=0.5, B=0.0)
@@ -204,15 +203,15 @@ class TestMaxWork:
         ext = max_work(c, 1.0)
         assert ext.branch == BRANCH_MAX2
         assert abs(ext.w_max - 2.0 * c.b) < 1e-13
-        assert abs(ext.t2_times[0] - math.pi / 2.0) < 1e-12
-        assert abs(ext.t2_times[1] - 3.0 * math.pi / 2.0) < 1e-12
+        assert abs(ext.peak_times[0] - math.pi / 2.0) < 1e-12
+        assert abs(ext.peak_times[1] - 3.0 * math.pi / 2.0) < 1e-12
         assert abs(ext.w_m - 0.0) < 1e-13
         assert abs(ext.delta_phi - math.pi) < 1e-12
 
     def test_omega_rescales_times(self):
         c = work_coefficients(FIG1_PARAMS)
         ext = max_work(c, 0.5)
-        assert abs(ext.t1_times[0] - 2.0 * math.pi) < 1e-12
+        assert abs(ext.peak_times[0] - 2.0 * math.pi) < 1e-12
 
     def test_boundary_ratio_collapses_the_plateau(self):
         # at x = 1 the two peaks merge with the in-between minimum: both 2a
@@ -246,9 +245,9 @@ class TestMaxWork:
         assert c.b < 0
         ext = max_work(c, 1.0)
         assert abs(ext.w_max - 2.0 * c.a) < 1e-12
-        assert ext.t2_times == (math.pi,)
+        assert ext.peak_times == (math.pi,)
         assert ext.w_m is None
-        assert abs(ext.w_max_grid - ext.w_max) < 1e-8
+        assert abs(grid_search_max(c)[1] - ext.w_max) < 1e-8
 
     def test_flat_signal_raises(self):
         with pytest.raises(FlatSignalError):
@@ -289,9 +288,9 @@ class TestExactMaxCheck:
         step = 2.0 * math.pi / _PHASES_4096.size
         assert ext.w_max >= sampled - 1e-12
         assert ext.w_max - sampled <= (abs(c.a) + 4.0 * abs(c.b)) * step ** 2 / 8.0
-        assert abs(ext.w_max_grid - ext.w_max) < 1e-8
+        assert abs(grid_search_max(c)[1] - ext.w_max) < 1e-8
 
-    def test_grid_search_runs_only_when_w_max_grid_is_read(self, monkeypatch):
+    def test_max_work_never_runs_the_grid_search(self, monkeypatch):
         calls = []
         original = analytics.grid_search_max
 
@@ -301,11 +300,8 @@ class TestExactMaxCheck:
 
         monkeypatch.setattr(analytics, "grid_search_max", counting)
         ext = max_work(work_coefficients(FIG1_PARAMS), 1.0)
+        assert abs(ext.w_max - TWO_A_FIG1) < 1e-13
         assert calls == []
-        first, second = ext.w_max_grid, ext.w_max_grid
-        assert abs(first - TWO_A_FIG1) < 1e-8
-        assert second == first
-        assert len(calls) == 1
 
     @pytest.mark.parametrize("a, b", [(-1.0, 0.0), (-1.0, -1.0)],
                              ids=["max1-negative-a", "b-negative-double-negative-a"])
@@ -349,7 +345,6 @@ class TestHarmonicFit:
             times=times,
             values=closed_form_work(c, 1.0, times),
             omega=1.0,
-            mode="charging_only",
         )
         fit = harmonic_fit(series)
         assert abs(fit.alpha0 - (c.a + c.b)) < 1e-10

@@ -17,7 +17,6 @@ from xyzbattery.charging import (
     evolve,
     passive_state,
     propagator,
-    stored_work,
     work_curve,
     work_series,
 )
@@ -138,13 +137,13 @@ class TestStoredWork:
     def test_zero_at_start(self):
         for mode in ("charging_only", "full"):
             spec = ChargingSpec(omega=1.0, mode=mode)
-            assert stored_work(FIG1_PARAMS, spec, 0.0) == 0.0
+            assert work_curve(FIG1_PARAMS, spec)(0.0) == 0.0
 
     def test_zero_after_full_period(self):
-        assert abs(stored_work(FIG1_PARAMS, SPEC_1, 2.0 * math.pi)) < 1e-12
+        assert abs(work_curve(FIG1_PARAMS, SPEC_1)(2.0 * math.pi)) < 1e-12
 
     def test_half_period_spot_value(self):
-        w = stored_work(FIG1_PARAMS, SPEC_1, math.pi)
+        w = work_curve(FIG1_PARAMS, SPEC_1)(math.pi)
         assert abs(w - W_HALF_PERIOD_FIG1) < 1e-10
         assert abs(w - 0.8423) < 0.0005
 
@@ -154,14 +153,14 @@ class TestStoredWork:
             p = draw_params(rng)
             spec = ChargingSpec(omega=rng.uniform(0.3, 2.0))
             for t in rng.uniform(0, 12, 5):
-                assert stored_work(p, spec, t) >= -1e-10
+                assert work_curve(p, spec)(t) >= -1e-10
 
     def test_periodicity(self):
         rng = np.random.default_rng(73)
         period = 2.0 * math.pi
         for t in rng.uniform(0, period, 20):
-            delta = stored_work(FIG1_PARAMS, SPEC_1, t) - stored_work(
-                FIG1_PARAMS, SPEC_1, t + period)
+            delta = work_curve(FIG1_PARAMS, SPEC_1)(t) - work_curve(
+                FIG1_PARAMS, SPEC_1)(t + period)
             assert abs(delta) < 1e-10
 
 
@@ -250,7 +249,7 @@ class TestWorkCurve:
                     with pytest.raises(ValueError):
                         curve(t)
                 with pytest.raises(ValueError):
-                    stored_work(p, spec, math.inf)
+                    work_curve(p, spec)(math.inf)
 
 
 class TestCosineSum:
@@ -340,12 +339,16 @@ class TestErgotropy:
         rng = np.random.default_rng(89)
         for _ in range(20):
             p = draw_params(rng)
-            spec = ChargingSpec(omega=rng.uniform(0.3, 2.0))
+            omega = rng.uniform(0.3, 2.0)
             h = build_total_hamiltonian(p)
             rho0 = gibbs_state(p)
-            for t in rng.uniform(0, 10, 5):
-                rho_t = evolve(rho0, propagator(p, spec, t))
-                assert abs(ergotropy(rho_t, h) - stored_work(p, spec, t)) < 1e-10
+            times = rng.uniform(0, 10, 5)
+            for mode in MODES:
+                spec = ChargingSpec(omega=omega, mode=mode)
+                curve = work_curve(p, spec)
+                for t in times:
+                    rho_t = evolve(rho0, propagator(p, spec, t))
+                    assert abs(ergotropy(rho_t, h) - curve(t)) < 1e-10, mode
 
     def test_nonnegative_for_random_states(self):
         rng = np.random.default_rng(97)
