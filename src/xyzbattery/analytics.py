@@ -4,6 +4,8 @@ The closed form W(t) = (a+b) - b*cos(2*omega*t) - a*cos(omega*t) is kept
 exactly as printed, coefficients included, and is reconciled against the
 dynamics pipeline (which is treated as ground truth) through harmonic
 fits and a consistency report. Neither path silently overrides the other.
+The charging-only dynamics has the same two harmonics with amplitudes
+derived from the Gibbs state (`dynamics_coefficients`).
 """
 
 from __future__ import annotations
@@ -150,34 +152,78 @@ def work_coefficients(p: SpinParams) -> WorkCoefficients:
     return WorkCoefficients(a=a, b=b, b1=b1, b2=b2, b3=b3, d=d, x=x)
 
 
+def linspace(lo: float, hi: float, n: int) -> list[float]:
+    """n >= 2 points from lo to hi, ends included.
+
+    The values are numpy.linspace's to the bit: the same operations in the
+    same order, a subnormal step's included.
+    """
+    div = n - 1
+    delta = hi - lo
+    step = delta / div
+    if step == 0:  # the span is subnormal: scale before multiplying
+        return [(i / div) * delta + lo for i in range(div)] + [hi]
+    return [i * step + lo for i in range(div)] + [hi]
+
+
+def sample_times(t_max: float, n: int) -> list[float]:
+    """n evenly spaced times on [0, t_max], ends included (linspace)."""
+    if not hasattr(type(n), "__index__") or n < 2:  # int, numpy's integers
+        raise ValueError(f"sample count must be an integer >= 2, got {n!r}")
+    if not (math.isfinite(t_max) and t_max > 0):
+        raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
+    return linspace(0.0, t_max, int(n))
+
+
+def _phase_overflow(half_gap: float, t_max: float) -> ValueError:
+    return ValueError(f"work phase 2*h*t overflowed for h = {float(half_gap)!r}, "
+                      f"t up to {float(t_max)!r}")
+
+
 def cosine_work(half_gaps, amplitudes, t):
     """Stored work as a cosine sum: sum_i A_i*(1 - cos(2*(h_i*t))).
 
     h_i are half-frequencies and A_i amplitudes. The terms are added in
     order, starting from +0.0, so W(0) is exactly +0.0 and a time's value
-    does not depend on where it sits in an array. A scalar time gives a
-    float, an array of times an array of the same shape. Raises ValueError
-    for a non-finite time and when a phase 2*h_i*t overflows.
+    does not depend on where it sits in a sequence. A scalar time gives a
+    float and a list of times a list, both in plain Python with math.cos; a
+    numpy array of times gives an array of the same shape. Both paths take
+    the same steps in the same order, so they agree to the bit wherever
+    numpy's cos agrees with math.cos. Raises ValueError for a non-finite
+    time and when a phase 2*h_i*t overflows.
     """
+    if isinstance(t, (int, float, list)):
+        times = list(map(float, t)) if isinstance(t, list) else [float(t)]
+        if not all(map(math.isfinite, times)):
+            bad = next(x for x in times if not math.isfinite(x))
+            raise ValueError(f"time must be finite, got {bad!r}")
+        t_abs = max(map(abs, times), default=0.0)
+        total = [0.0] * len(times)
+        cos = math.cos
+        for half_gap, amplitude in zip(half_gaps, amplitudes):
+            h, amp = float(half_gap), float(amplitude)
+            # rounding is monotone, so the largest |t| has the largest phase
+            if not math.isfinite(2.0 * (h * t_abs)):
+                raise _phase_overflow(h, t_abs)
+            total = [w + amp * (1.0 - cos(2.0 * (h * x))) for w, x in zip(total, times)]
+        return total if isinstance(t, list) else total[0]
+
     import numpy as np
 
-    # a scalar time stays a scalar: 0-d array arithmetic costs microseconds
-    scalar = np.ndim(t) == 0
-    times = float(t) if scalar else np.asarray(t, dtype=float)
+    times = np.asarray(t, dtype=float)
+    if times.ndim == 0:  # 0-d arithmetic costs microseconds: take the float path
+        return cosine_work(half_gaps, amplitudes, float(times))
     finite = np.isfinite(times)
     if not finite.all():
-        bad = times if scalar else times[~finite][0]
-        raise ValueError(f"time must be finite, got {float(bad)!r}")
-    total = 0.0 if scalar else np.zeros(times.shape)
+        raise ValueError(f"time must be finite, got {float(times[~finite][0])!r}")
+    total = np.zeros(times.shape)
     with np.errstate(over="ignore"):  # checked below
         for half_gap, amplitude in zip(half_gaps, amplitudes):
             phase = 2.0 * (half_gap * times)
             if not np.isfinite(phase).all():
-                raise ValueError(
-                    f"work phase 2*h*t overflowed for h = {float(half_gap)!r}, "
-                    f"t up to {float(np.max(np.abs(times)))!r}")
+                raise _phase_overflow(half_gap, np.max(np.abs(times)))
             total = total + amplitude * (1.0 - np.cos(phase))
-    return float(total) if scalar else total
+    return total
 
 
 def closed_form_work(c: WorkCoefficients, omega: float, t):
@@ -187,6 +233,55 @@ def closed_form_work(c: WorkCoefficients, omega: float, t):
     Raises ValueError when the phase 2*omega*t overflows.
     """
     return cosine_work((omega / 2.0, omega), (c.a, c.b), t)
+
+
+def dynamics_coefficients(p: SpinParams) -> tuple[float, float]:
+    """Amplitudes (a_dyn, b_dyn) of the charging-only dynamics, at any beta.
+
+    The drive alone propagates each spin by u = exp(-i*omega*t*X/2), and the
+    Gibbs state holds no <Y1 + Y2> or <YZ + ZY>, so exactly
+    W(t) = a_dyn*(1 - cos(omega*t)) + b_dyn*(1 - cos(2*omega*t)) with
+    a_dyn = -(B/2)*<Z1 + Z2> and b_dyn = (J*(1-gamma) - Jz)*(<ZZ> - <YY>)/4.
+    At beta = 1, 4*a_dyn is the printed a.
+
+    The expectations come from the closed-form spectrum, the doublet
+    E1, E2 = -Jz/2 +/- J and the corner pair E3, E4 = Jz/2 +/- eta, weighted
+    by w_k = exp(-beta*(E_k - E_min)) <= 1, which stay finite wherever the
+    oracle Gibbs state does. A block's upper weight is its lower one times
+    exp(-2*beta*|J|) or exp(-2*beta*eta), so the ratio within a block does
+    not round through the energies. With Z = w1 + w2 + w3 + w4 and
+    g = gamma*J/eta,
+    <Z1 + Z2> = -2*(B/eta)*(w4 - w3)/Z and
+    <ZZ> - <YY> = (w3*(1 + g) + w4*(1 - g) - 2*w1)/Z, whose corner terms are
+    nonnegative; 1 + g and 1 - g are written without cancellation. Raises
+    ValueError when an energy or a coefficient overflows.
+    """
+    eta = eta_value(p)
+    doublet_low, corner_low = -p.Jz / 2.0 - abs(p.J), p.Jz / 2.0 - eta
+    if not (math.isfinite(doublet_low) and math.isfinite(corner_low)):
+        raise ValueError(f"dynamics coefficients overflowed for {p!r}")
+    e_min = min(doublet_low, corner_low)
+    low = math.exp(-p.beta * (doublet_low - e_min))
+    high = low * math.exp(-2.0 * p.beta * abs(p.J))
+    w1 = high if p.J >= 0 else low  # E1 = -Jz/2 + J
+    w4 = math.exp(-p.beta * (corner_low - e_min))
+    w3 = w4 * math.exp(-2.0 * p.beta * eta)
+    z = low + high + w3 + w4
+    corner = p.gamma * p.J
+    if eta == 0.0:  # B = gamma*J = 0: the corner block is diagonal and degenerate
+        a_dyn, plus, minus = 0.0, 1.0, 1.0
+    else:
+        # w4 - w3 = w4*(1 - exp(-2*beta*eta)), without the 0/0 at eta -> 0
+        a_dyn = p.B * (p.B / eta) * w4 * -math.expm1(-2.0 * p.beta * eta) / z
+        # 1 - |g| = B^2/(eta*(eta + |gamma*J|))
+        if corner >= 0:
+            plus, minus = 1.0 + corner / eta, (p.B / eta) * (p.B / (eta + corner))
+        else:
+            plus, minus = (p.B / eta) * (p.B / (eta - corner)), 1.0 - corner / eta
+    b_dyn = (p.J * (1.0 - p.gamma) - p.Jz) / 4.0 * ((w3 * plus + w4 * minus - 2.0 * w1) / z)
+    if not (math.isfinite(a_dyn) and math.isfinite(b_dyn)):
+        raise ValueError(f"dynamics coefficients overflowed for {p!r}")
+    return a_dyn, b_dyn
 
 
 def classify_branch(c: WorkCoefficients) -> str:

@@ -3,7 +3,8 @@
 The drive is a transverse field omega*Sx with Sx = (X1 + X2)/2. Two
 propagation modes exist: "charging_only" rotates under the drive alone
 (the operative choice; its work signal carries only the omega and 2*omega
-harmonics), while "full" evolves under battery plus drive together.
+harmonics, with amplitudes in closed form), while "full" evolves under
+battery plus drive together.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import cosine_work
+from .analytics import cosine_work, dynamics_coefficients, sample_times
 from .linalg import IDENTITY_2, SIGMA_X, expectation, hermitian_eig, tensor, unitary_exp
 from .model import build_total_hamiltonian, gibbs_state
 from .params import SpinParams, check_omega
@@ -76,7 +77,10 @@ def evolve(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
 class WorkCurve:
     """Stored work W(t) for one (params, mode, omega) as a cosine sum.
 
-    With the generator G = V diag(lam) V^dagger, H' = V^dagger H V and
+    W(t) = sum_i A_i (1 - cos(2 h_i t)), with half-frequencies h_i
+    (half_gaps) and amplitudes A_i. In charging_only mode these are
+    (omega/2, omega) and analytics.dynamics_coefficients. In full mode, with
+    the generator G = V diag(lam) V^dagger, H' = V^dagger H V and
     rho' = V^dagger rho0 V, the stored work is
     W(t) = sum_jk M_jk (exp(-i (lam_j - lam_k) t) - 1), M_jk = H'_kj rho'_jk.
     H, the drive and rho0 are real symmetric, so M is real and W is even in
@@ -90,30 +94,28 @@ class WorkCurve:
     amplitudes: np.ndarray
 
     def __call__(self, t):
-        """W at a scalar time (returns float) or an array of times (same shape)."""
+        """W at a scalar time (returns float), a list of times (list) or an
+        array of times (same shape)."""
         return cosine_work(self.half_gaps, self.amplitudes, t)
 
     def series(self, t_max: float, n: int) -> WorkSeries:
         """W sampled uniformly on [0, t_max] with inclusive endpoints."""
-        if not isinstance(n, (int, np.integer)) or n < 2:
-            raise ValueError(f"sample count must be an integer >= 2, got {n!r}")
-        if not (math.isfinite(t_max) and t_max > 0):
-            raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
-        times = np.linspace(0.0, t_max, int(n))
+        times = np.array(sample_times(t_max, n))
         return WorkSeries(times=times, values=self(times), omega=self.spec.omega)
 
 
 def work_curve(p: SpinParams, spec: ChargingSpec) -> WorkCurve:
-    """Diagonalise the charging generator once and return W(t) for all times.
+    """W(t) for all times from the battery's Gibbs state.
 
-    The generator is the drive alone in charging_only mode and battery plus
-    drive in full mode; the battery starts in its Gibbs state.
+    In charging_only mode the two harmonics come in closed form, at any beta,
+    with no diagonalisation. In full mode the generator, battery plus drive,
+    is diagonalised once.
     """
+    if spec.mode == "charging_only":
+        return WorkCurve(spec=spec, half_gaps=np.array([spec.omega / 2.0, spec.omega]),
+                         amplitudes=np.array(dynamics_coefficients(p)))
     h = build_total_hamiltonian(p)
-    generator = build_charging_hamiltonian(spec)
-    if spec.mode == "full":
-        generator = h + generator
-    eig = hermitian_eig(generator)
+    eig = hermitian_eig(h + build_charging_hamiltonian(spec))
     v = eig.eigenvectors
     v_dag = v.conj().T
     rho0 = gibbs_state(p, method="oracle")

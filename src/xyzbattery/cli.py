@@ -24,16 +24,20 @@ from .analytics import (
     classify_branch,
     closed_form_work,
     consistency_report,
+    cosine_work,
+    dynamics_coefficients,
     large_B_asymptote,
+    linspace,
     max_work,
     oracle_peak,
+    sample_times,
     work_coefficients,
 )
 from .params import SpinParams, UnsupportedClosedFormError, check_omega
 
 # numpy, model, linalg and charging load only in the handlers that propagate
-# or diagonalise, so the closed-form commands, --help and --version start
-# without them
+# or diagonalise, so the closed-form commands, charging-only work curves,
+# --help and --version start without them
 if TYPE_CHECKING:
     from .charging import ChargingSpec
 
@@ -132,9 +136,11 @@ def _render_csv(columns, data) -> str:
     rows = _row_count(data)
     cells = []
     for value in data:
-        float_array = _is_array(value) and value.dtype.kind == "f"
+        if _is_array(value):
+            value = value.tolist()
+        floats = isinstance(value, list) and all(isinstance(v, float) for v in value)
         # "%.17g" % v is format(v, ".17g"), nan, inf and -0.0 included
-        cells.append(_cells(value, rows, "%.17g".__mod__ if float_array else _fmt))
+        cells.append(_cells(value, rows, "%.17g".__mod__ if floats else _fmt))
     lines = [",".join(map(_fmt, columns)), *map(",".join, zip(*cells))]
     return "\n".join(lines) + "\n"
 
@@ -238,23 +244,14 @@ def _spin(q) -> SpinParams:
 
 
 def _grid(ns, start: str, stop: str) -> list[float]:
-    """--steps points from flag start to flag stop: start < stop, and a
-    finite span between them (so finite ends).
-
-    The values are numpy.linspace's to the bit: the same operations in the
-    same order, a subnormal span's included.
-    """
+    """--steps points from flag start to flag stop (numpy.linspace's values):
+    start < stop, and a finite span between them (so finite ends)."""
     lo, hi = getattr(ns, start), getattr(ns, stop)
-    delta = hi - lo
-    if not (lo < hi and math.isfinite(delta)):
+    if not (lo < hi and math.isfinite(hi - lo)):
         raise ValueError(f"need finite {_flag(start)} < {_flag(stop)}, got {lo} and {hi}")
     if ns.steps < 2:
         raise ValueError(f"--steps must be >= 2, got {ns.steps}")
-    div = ns.steps - 1
-    step = delta / div
-    if step == 0:  # the span is subnormal: scale before multiplying
-        return [(i / div) * delta + lo for i in range(div)] + [hi]
-    return [i * step + lo for i in range(div)] + [hi]
+    return linspace(lo, hi, ns.steps)
 
 
 def _drive(omega: float, mode: str = "charging-only") -> ChargingSpec:
@@ -321,10 +318,10 @@ def _cmd_coeffs(ns) -> list:
 
 def _cmd_work(ns) -> list:
     p = _spin(vars(ns))
-    charging = _drive(ns.omega, ns.mode)
+    check_omega(ns.omega)
     if ns.t_max is None:
         ns.t_max = 2.0 * math.pi / ns.omega
-    return _work_curve_columns(p, charging, ns.t_max, ns.samples)
+    return _work_curve_columns(p, ns.omega, ns.mode, ns.t_max, ns.samples)
 
 
 def _cmd_maxwork(ns) -> list:
@@ -390,34 +387,45 @@ def _cmd_sweep(ns) -> list:
     return _sweep_columns(vars(ns), ns.axis, values, ns.quantity)
 
 
-def _work_curve_columns(p: SpinParams, charging: ChargingSpec,
+def _work_curve_columns(p: SpinParams, omega: float, mode: str,
                         t_max: float, samples: int) -> list:
-    """WORK_COLUMNS as arrays of both paths' samples, then the mode and drive."""
-    from .charging import work_series
+    """WORK_COLUMNS for a checked drive and a CLI mode name: both paths'
+    samples, then the mode and drive.
 
+    In charging-only mode the oracle is the dynamics' own two harmonics,
+    evaluated on a list of times without numpy; full mode propagates.
+    """
     coeffs = work_coefficients(p)
-    series = work_series(p, charging, t_max=t_max, n=samples)
-    closed = closed_form_work(coeffs, charging.omega, series.times)
-    return [series.times, closed, series.values, _MODE_TO_CLI[charging.mode],
-            charging.omega]
+    if mode == "charging-only":
+        times = sample_times(t_max, samples)
+        oracle = cosine_work((omega / 2.0, omega), dynamics_coefficients(p), times)
+    else:
+        from .charging import work_series
+
+        series = work_series(p, _drive(omega, mode), t_max=t_max, n=samples)
+        times, oracle = series.times, series.values
+    closed = closed_form_work(coeffs, omega, times)
+    return [times, closed, oracle, mode, omega]
 
 
 def _figure1(ns) -> list:
     p = _spin(vars(ns))
-    drives = [_drive(omega, ns.mode) for omega in ns.omegas]
+    for omega in ns.omegas:
+        check_omega(omega)
     if ns.t_max is None:
         ns.t_max = 2.0 * 2.0 * math.pi / min(ns.omegas)
-    return [(f"figure1_omega{charging.omega:g}",
-             _work_curve_columns(p, charging, ns.t_max, ns.samples))
-            for charging in drives]
+    return [(f"figure1_omega{omega:g}",
+             _work_curve_columns(p, omega, ns.mode, ns.t_max, ns.samples))
+            for omega in ns.omegas]
 
 
 def _figure3(ns) -> list:
-    charging = _drive(ns.omega, ns.mode)
+    check_omega(ns.omega)
     if ns.t_max is None:
         ns.t_max = 2.0 * 2.0 * math.pi / ns.omega
     return [(f"figure3_B{b:g}",
-             _work_curve_columns(_spin({**vars(ns), "B": b}), charging, ns.t_max, ns.samples))
+             _work_curve_columns(_spin({**vars(ns), "B": b}), ns.omega, ns.mode,
+                                 ns.t_max, ns.samples))
             for b in ns.B_values]
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from xyzbattery.model import SpinParams
@@ -64,3 +66,14 @@ def expm_taylor(a: np.ndarray, terms: int = 40) -> np.ndarray:
     for _ in range(squarings):
         result = result @ result
     return result
+
+
+def two_harmonic_extremes(a: float, b: float) -> tuple[float, float]:
+    """Exact (min, max) over a period of a*(1 - cos phi) + b*(1 - cos 2 phi):
+    its values at the stationary phases 0, pi and, when b != 0 and
+    |a| <= 4|b|, arccos(-a/(4b))."""
+    phases = [0.0, math.pi]
+    if b != 0.0 and abs(a) <= 4.0 * abs(b):
+        phases.append(math.acos(-a / (4.0 * b)))
+    values = [a * (1.0 - math.cos(phi)) + b * (1.0 - math.cos(2.0 * phi)) for phi in phases]
+    return min(values), max(values)

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import FIG1_PARAMS, draw_params
+from conftest import FIG1_PARAMS, draw_params, two_harmonic_extremes
 from xyzbattery import analytics
 from xyzbattery.analytics import (
     BRANCH_DEGENERATE,
@@ -21,6 +22,7 @@ from xyzbattery.analytics import (
     closed_form_work,
     consistency_report,
     cosine_work,
+    dynamics_coefficients,
     grid_search_max,
     harmonic_fit,
     large_B_asymptote,
@@ -28,11 +30,22 @@ from xyzbattery.analytics import (
     oracle_peak,
     work_coefficients,
 )
-from xyzbattery.charging import MODES, ChargingSpec, WorkSeries, work_curve, work_series
+from xyzbattery.charging import (
+    MODES,
+    ChargingSpec,
+    WorkSeries,
+    evolve,
+    propagator,
+    work_curve,
+    work_series,
+)
+from xyzbattery.linalg import expectation
 from xyzbattery.model import (
     SpinParams,
     UnsupportedClosedFormError,
+    build_total_hamiltonian,
     eta_value,
+    gibbs_state,
     thermal_elements,
 )
 
@@ -413,3 +426,105 @@ class TestOraclePeak:
                 peak = oracle_peak(p, spec)
                 assert peak >= np.max(dense.values) - 1e-12
                 assert peak - np.max(dense.values) < 1e-8 * max(1.0, peak)
+
+
+_SIGNED = st.floats(-2.0, 2.0)
+# the test box, its B = 0 and gamma*J ~ 0 edges, and eta ~ 1e-9
+_DRIVE_PARAMS = st.one_of(
+    st.builds(lambda J, Jz, gamma, B: (J, Jz, gamma, B), _SIGNED, _SIGNED,
+              st.floats(-1.0, 1.0), st.one_of(st.just(0.0), st.floats(-5.0, 5.0))),
+    st.builds(lambda J, Jz, g, B: (J, Jz, g * 1e-13, B), _SIGNED, _SIGNED,
+              st.floats(-1.0, 1.0), st.floats(-5.0, 5.0)),
+    st.builds(lambda J, Jz, g, B: (J, Jz, g * 1e-10, B * 1e-9), _SIGNED, _SIGNED,
+              st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+)
+_BETA = st.floats(0.25, 4.0).filter(lambda beta: beta != 1.0)
+
+
+class TestDynamicsCoefficients:
+    """The charging-only dynamics is exactly two harmonics with derived
+    amplitudes, at any beta."""
+
+    @pytest.mark.parametrize("beta_one", [True, False], ids=["beta-1", "beta-other"])
+    @settings(derandomize=True, deadline=None, max_examples=150, database=None)
+    @given(values=_DRIVE_PARAMS, beta=_BETA, omega=st.floats(0.25, 3.0))
+    def test_two_terms_match_unitary_propagation(self, beta_one, values, beta, omega):
+        p = SpinParams(*values, beta=1.0 if beta_one else beta)
+        spec = ChargingSpec(omega=omega)
+        h = build_total_hamiltonian(p)
+        rho0 = gibbs_state(p, method="oracle")
+        e0 = expectation(h, rho0)
+        times = np.linspace(0.0, 4.0 * math.pi / omega, 13)
+        two_terms = cosine_work((omega / 2.0, omega), dynamics_coefficients(p), times.tolist())
+        for t, w in zip(times, two_terms):
+            reference = expectation(h, evolve(rho0, propagator(p, spec, float(t)))) - e0
+            assert abs(w - reference) <= 1e-12 * max(1.0, abs(reference)), (p, t)
+        assert two_terms == work_curve(p, spec)(times).tolist()
+
+    @settings(derandomize=True, deadline=None, max_examples=300, database=None)
+    @given(values=_DRIVE_PARAMS)
+    def test_four_a_dyn_is_the_printed_a_at_beta_1(self, values):
+        p = SpinParams(*values)
+        a_dyn, _ = dynamics_coefficients(p)
+        a = work_coefficients(p).a
+        # relative, down to the smallest normal float (subnormals carry fewer digits)
+        assert abs(4.0 * a_dyn - a) <= 1e-12 * max(abs(a), sys.float_info.min)
+
+    @settings(derandomize=True, deadline=None, max_examples=300, database=None)
+    @given(values=_DRIVE_PARAMS, beta=st.one_of(st.just(1.0), _BETA))
+    def test_passive_start(self, values, beta):
+        # from a Gibbs state no unitary lowers the energy: W >= 0 at every time
+        a_dyn, b_dyn = dynamics_coefficients(SpinParams(*values, beta=beta))
+        assert a_dyn >= 0.0
+        assert two_harmonic_extremes(a_dyn, b_dyn)[0] >= -1e-12
+
+    @settings(derandomize=True, deadline=None, max_examples=100, database=None)
+    @given(values=_DRIVE_PARAMS, beta=st.one_of(st.just(1.0), _BETA),
+           omega=st.floats(0.25, 3.0))
+    def test_starts_at_exactly_zero(self, values, beta, omega):
+        p = SpinParams(*values, beta=beta)
+        amplitudes = dynamics_coefficients(p)
+        for w in (work_curve(p, ChargingSpec(omega=omega))(0.0),
+                  cosine_work((omega / 2.0, omega), amplitudes, [0.0])[0]):
+            assert type(w) is float
+            assert format(w, ".17g") == "0"
+
+    def test_matches_50_digit_evaluation_up_to_1e3(self):
+        mpmath = pytest.importorskip("mpmath")
+        magnitudes = (0.0, 1e-3, 0.1, 1.0, 10.0, 100.0, 1e3)
+        gammas = (0.5, -0.3, 1.0, -1.0, 0.0, 0.9)
+        grid = [(J, Jz, B, beta) for J in magnitudes for Jz in magnitudes
+                for B in magnitudes for beta in (0.25, 1.0, 4.0)]
+        with mpmath.workdps(50):
+            for k, (J, Jz, B, beta) in enumerate(grid, 1):
+                # signs and gamma cycle with the point's index
+                p = SpinParams(J=J if k % 2 else -J, Jz=Jz if k % 3 else -Jz,
+                               gamma=gammas[k % len(gammas)], B=B if k % 5 else -B,
+                               beta=beta)
+                a_dyn, b_dyn = dynamics_coefficients(p)
+                a_ref, b_ref = _dynamics_coefficients_mp(mpmath.mp, p)
+                tol = 1e-12 * max(1.0, abs(a_dyn) + abs(b_dyn))
+                assert abs(a_dyn - a_ref) <= tol, (p, a_dyn, a_ref)
+                assert abs(b_dyn - b_ref) <= tol, (p, b_dyn, b_ref)
+
+    def test_overflowed_energy_is_bad_input(self):
+        with pytest.raises(ValueError, match="dynamics coefficients overflowed"):
+            dynamics_coefficients(SpinParams(J=1.5e308, Jz=-1.5e308, gamma=0.5, B=1.0))
+
+
+def _dynamics_coefficients_mp(mp, p: SpinParams) -> tuple[float, float]:
+    """(a_dyn, b_dyn) from unshifted Boltzmann factors in the cosh/sinh form,
+    at mp's precision."""
+    J, Jz, gamma, B, beta = (mp.mpf(v) for v in (p.J, p.Jz, p.gamma, p.B, p.beta))
+    eta = mp.sqrt(B * B + (gamma * J) ** 2)
+    corner = mp.exp(-beta * Jz / 2)
+    doublet = mp.exp(beta * Jz / 2)
+    z = 2 * corner * mp.cosh(beta * eta) + 2 * doublet * mp.cosh(beta * J)
+    if eta == 0:
+        a_dyn, shift = mp.mpf(0), mp.mpf(0)
+    else:
+        a_dyn = 2 * B * B * corner * mp.sinh(beta * eta) / eta / z
+        shift = gamma * J / eta * mp.sinh(beta * eta)
+    zz_minus_yy = 2 * (corner * (mp.cosh(beta * eta) - shift)
+                       - doublet * mp.exp(-beta * J)) / z
+    return float(a_dyn), float((J * (1 - gamma) - Jz) * zz_minus_yy / 4)

@@ -17,8 +17,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import two_harmonic_extremes
 from xyzbattery import cli
-from xyzbattery.analytics import max_work, oracle_peak, work_coefficients
+from xyzbattery.analytics import dynamics_coefficients, max_work, oracle_peak, work_coefficients
 from xyzbattery.charging import ChargingSpec
 from xyzbattery.model import SpinParams
 
@@ -611,6 +612,15 @@ class TestRenderer:
              format(value, ".17g"), label]
             for i, f, s in zip(ints, optional, texts)]
 
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(st.integers(0, 12).flatmap(lambda n: st.lists(
+        st.lists(st.one_of(st.floats(), _EDGE_FLOATS), min_size=n, max_size=n),
+        min_size=1, max_size=5)))
+    def test_float_lists_print_the_float_array_bytes(self, columns):
+        names = [f"c{i}" for i in range(len(columns))]
+        arrays = [np.array(c, dtype=float) for c in columns]
+        assert cli._render_csv(names, columns) == cli._render_csv(names, arrays)
+
     def test_single_values_make_one_row(self):
         assert cli._render_csv(["a", "b"], [1.5, "x"]) == "a,b\n1.5,x\n"
 
@@ -931,6 +941,26 @@ class TestOracleSweepWithoutClosedForm:
             p = SpinParams(J=float(r["J"]), Jz=float(r["Jz"]), gamma=float(r["gamma"]),
                            B=float(r["B"]), beta=beta)
             assert float(r["w_max"]) == oracle_peak(p, ChargingSpec(omega=float(r["omega"])))
+
+    @pytest.mark.parametrize("axis, stop, fixed", [
+        ("B", "1000", ("--J", "0.2")),
+        ("J", "900", ("--B", "1")),
+    ], ids=["B-to-1000", "J-to-900"])
+    def test_large_fields_and_couplings_exit_0(self, capsys, axis, stop, fixed):
+        code, out, err = run_cli(capsys, "sweep", "--quantity", "w_series_peak_oracle",
+                                 "--mode", "charging-only", "--axis", axis, "--start", "0",
+                                 "--stop", stop, "--steps", "9", "--Jz", "0.2",
+                                 "--gamma", "0.5", *fixed)
+        assert code == 0 and err == ""
+        _, rows = parse_csv(out)
+        assert len(rows) == 9
+        for r in rows:
+            w_max = float(r["w_max"])
+            p = SpinParams(J=float(r["J"]), Jz=float(r["Jz"]), gamma=float(r["gamma"]),
+                           B=float(r["B"]))
+            exact = two_harmonic_extremes(*dynamics_coefficients(p))[1]
+            assert math.isfinite(w_max) and w_max >= -1e-12
+            assert abs(w_max - exact) <= 1e-9 * max(1.0, exact)
 
 
 class TestHugeDrive:
