@@ -16,7 +16,8 @@ from typing import TYPE_CHECKING, Callable
 
 # numpy and the propagation layer load only in the functions that use them,
 # so the closed forms and max_work run without either
-from .params import SpinParams, UnsupportedClosedFormError, check_omega, eta_value, sinhc
+from .params import (MODES, SpinParams, UnsupportedClosedFormError, check_omega,
+                     eta_value, sinhc)
 
 if TYPE_CHECKING:
     from .charging import ChargingSpec, WorkSeries
@@ -105,7 +106,6 @@ class ModeFit:
 class ConsistencyReport:
     """Closed-form vs dynamics reconciliation record; no verdict attached."""
 
-    omega: float
     a_printed: float
     b_printed: float
     w_half_period_closed: float
@@ -443,22 +443,24 @@ def _ratio(printed: float, fitted: float) -> float:
     return printed / fitted
 
 
-def consistency_report(p: SpinParams, spec: ChargingSpec) -> ConsistencyReport:
+def consistency_report(p: SpinParams, omega: float) -> ConsistencyReport:
     """Reconcile the printed coefficients with harmonic fits of the dynamics.
 
-    For each propagation mode a one-period work series of REPORT_SAMPLES
-    samples is fitted and the printed/fitted amplitude ratios are recorded,
-    together with the stored work at half period from both paths. Nothing is
-    judged pass/fail here; the record is evidence.
+    For each propagation mode (params.MODES) a one-period work series of
+    REPORT_SAMPLES samples at drive strength omega is fitted and the
+    printed/fitted amplitude ratios are recorded, together with the stored
+    work at half period from both paths. Nothing is judged pass/fail here;
+    the record is evidence.
     """
-    from .charging import MODES, ChargingSpec, work_curve
+    from .charging import ChargingSpec, work_curve
 
+    check_omega(omega)
     coeffs = work_coefficients(p)
-    period = 2.0 * math.pi / spec.omega
-    half_period = math.pi / spec.omega
+    period = 2.0 * math.pi / omega
+    half_period = math.pi / omega
     fits = []
     for mode in MODES:
-        curve = work_curve(p, ChargingSpec(omega=spec.omega, mode=mode))
+        curve = work_curve(p, ChargingSpec(omega, mode))
         fit = harmonic_fit(curve.series(t_max=period, n=REPORT_SAMPLES))
         a_fitted = -fit.alpha1
         b_fitted = -fit.alpha2
@@ -475,10 +477,9 @@ def consistency_report(p: SpinParams, spec: ChargingSpec) -> ConsistencyReport:
             )
         )
     return ConsistencyReport(
-        omega=spec.omega,
         a_printed=coeffs.a,
         b_printed=coeffs.b,
-        w_half_period_closed=closed_form_work(coeffs, spec.omega, half_period),
+        w_half_period_closed=closed_form_work(coeffs, omega, half_period),
         fits=tuple(fits),
     )
 

@@ -1,10 +1,10 @@
 """Unitary charging of the thermal battery and stored-work bookkeeping.
 
 The drive is a transverse field omega*Sx with Sx = (X1 + X2)/2. Two
-propagation modes exist: "charging_only" rotates under the drive alone
-(the operative choice; its work signal carries only the omega and 2*omega
-harmonics, with amplitudes in closed form), while "full" evolves under
-battery plus drive together.
+propagation modes exist (params.MODES): "charging-only" rotates under the
+drive alone (the operative choice; its work signal carries only the omega
+and 2*omega harmonics, with amplitudes in closed form), while "full" evolves
+under battery plus drive together.
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ import numpy as np
 from .analytics import cosine_work, dynamics_coefficients, sample_times
 from .linalg import IDENTITY_2, SIGMA_X, expectation, hermitian_eig, tensor, unitary_exp
 from .model import build_total_hamiltonian, gibbs_state
-from .params import SpinParams, check_omega
-
-MODES = ("charging_only", "full")
+from .params import MODES, SpinParams, check_omega
 
 # the drive's spin operator (X1 + X2)/2, built once
 _SX_TOTAL = (tensor(SIGMA_X, IDENTITY_2) + tensor(IDENTITY_2, SIGMA_X)) / 2.0
@@ -30,7 +28,7 @@ class ChargingSpec:
     """Drive strength and choice of propagation generator."""
 
     omega: float
-    mode: str = "charging_only"
+    mode: str = "charging-only"
 
     def __post_init__(self) -> None:
         check_omega(self.omega)
@@ -47,9 +45,9 @@ class WorkSeries:
     omega: float
 
 
-def build_charging_hamiltonian(spec: ChargingSpec) -> np.ndarray:
+def build_charging_hamiltonian(omega: float) -> np.ndarray:
     """Drive Hamiltonian omega*(X1 + X2)/2; spectrum {-omega, 0, 0, omega}."""
-    return spec.omega * _SX_TOTAL
+    return omega * _SX_TOTAL
 
 
 def propagator(p: SpinParams, spec: ChargingSpec, t: float) -> np.ndarray:
@@ -59,11 +57,11 @@ def propagator(p: SpinParams, spec: ChargingSpec, t: float) -> np.ndarray:
     """
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t!r}")
-    if spec.mode == "charging_only":
+    if spec.mode == "charging-only":
         half = spec.omega * t / 2.0
         u_single = math.cos(half) * IDENTITY_2 - 1j * math.sin(half) * SIGMA_X
         return np.kron(u_single, u_single)
-    generator = build_total_hamiltonian(p) + build_charging_hamiltonian(spec)
+    generator = build_total_hamiltonian(p) + build_charging_hamiltonian(spec.omega)
     return unitary_exp(generator, t)
 
 
@@ -78,7 +76,7 @@ class WorkCurve:
     """Stored work W(t) for one (params, mode, omega) as a cosine sum.
 
     W(t) = sum_i A_i (1 - cos(2 h_i t)), with half-frequencies h_i
-    (half_gaps) and amplitudes A_i. In charging_only mode these are
+    (half_gaps) and amplitudes A_i. In charging-only mode these are
     (omega/2, omega) and analytics.dynamics_coefficients. In full mode, with
     the generator G = V diag(lam) V^dagger, H' = V^dagger H V and
     rho' = V^dagger rho0 V, the stored work is
@@ -89,7 +87,7 @@ class WorkCurve:
     Half-gaps stay finite where a gap, such as 2*omega, would overflow.
     """
 
-    spec: ChargingSpec
+    omega: float
     half_gaps: np.ndarray
     amplitudes: np.ndarray
 
@@ -101,28 +99,28 @@ class WorkCurve:
     def series(self, t_max: float, n: int) -> WorkSeries:
         """W sampled uniformly on [0, t_max] with inclusive endpoints."""
         times = np.array(sample_times(t_max, n))
-        return WorkSeries(times=times, values=self(times), omega=self.spec.omega)
+        return WorkSeries(times=times, values=self(times), omega=self.omega)
 
 
 def work_curve(p: SpinParams, spec: ChargingSpec) -> WorkCurve:
     """W(t) for all times from the battery's Gibbs state.
 
-    In charging_only mode the two harmonics come in closed form, at any beta,
+    In charging-only mode the two harmonics come in closed form, at any beta,
     with no diagonalisation. In full mode the generator, battery plus drive,
     is diagonalised once.
     """
-    if spec.mode == "charging_only":
-        return WorkCurve(spec=spec, half_gaps=np.array([spec.omega / 2.0, spec.omega]),
+    if spec.mode == "charging-only":
+        return WorkCurve(omega=spec.omega, half_gaps=np.array([spec.omega / 2.0, spec.omega]),
                          amplitudes=np.array(dynamics_coefficients(p)))
     h = build_total_hamiltonian(p)
-    eig = hermitian_eig(h + build_charging_hamiltonian(spec))
+    eig = hermitian_eig(h + build_charging_hamiltonian(spec.omega))
     v = eig.eigenvectors
     v_dag = v.conj().T
     rho0 = gibbs_state(p, method="oracle")
     weights = (v_dag @ h @ v).T * (v_dag @ rho0 @ v)
     half = eig.eigenvalues / 2.0
     j, k = np.triu_indices(half.size, 1)
-    return WorkCurve(spec=spec, half_gaps=half[k] - half[j],
+    return WorkCurve(omega=spec.omega, half_gaps=half[k] - half[j],
                      amplitudes=-2.0 * weights.real[j, k])
 
 

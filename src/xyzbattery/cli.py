@@ -16,8 +16,11 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
+# numpy, model, linalg and charging load only in the handlers that propagate
+# or diagonalise, so the closed-form commands, charging-only work curves,
+# --help and --version start without them
 from . import __version__
 from .analytics import (
     FlatSignalError,
@@ -33,13 +36,7 @@ from .analytics import (
     sample_times,
     work_coefficients,
 )
-from .params import SpinParams, UnsupportedClosedFormError, check_omega
-
-# numpy, model, linalg and charging load only in the handlers that propagate
-# or diagonalise, so the closed-form commands, charging-only work curves,
-# --help and --version start without them
-if TYPE_CHECKING:
-    from .charging import ChargingSpec
+from .params import MODES, SpinParams, UnsupportedClosedFormError, check_omega
 
 WORK_COLUMNS = ("t", "W_closed", "W_oracle", "mode", "omega")
 SWEEP_COLUMNS = (
@@ -70,9 +67,6 @@ REPORT_COLUMNS = (
 SWEEP_AXES = ("J", "Jz", "gamma", "B", "omega")
 CLOSED_FORM_QUANTITIES = ("w_max_printed", "coefficients")
 SWEEP_QUANTITIES = CLOSED_FORM_QUANTITIES + ("w_series_peak_oracle",)
-
-_MODE_FROM_CLI = {"charging-only": "charging_only", "full": "full"}
-_MODE_TO_CLI = {mode: flag for flag, mode in _MODE_FROM_CLI.items()}
 
 
 def __getattr__(name: str):
@@ -254,13 +248,6 @@ def _grid(ns, start: str, stop: str) -> list[float]:
     return linspace(lo, hi, ns.steps)
 
 
-def _drive(omega: float, mode: str = "charging-only") -> ChargingSpec:
-    """The drive of a CLI mode name; this loads the propagation layer."""
-    from .charging import ChargingSpec
-
-    return ChargingSpec(omega, _MODE_FROM_CLI[mode])
-
-
 # ---------------------------------------------------------------------------
 # commands: each reads its flags from the namespace, defaults filled in, and
 # returns one entry per column (a figure: one (file stem, entries) per file)
@@ -354,7 +341,9 @@ def _sweep_row(inputs, axis: str, value: float, quantity: str) -> list:
         # only the oracle reads --mode and propagates; it needs no closed
         # form, so its closed-form cells read nan where beta != 1 or the
         # coefficients overflow
-        w_max = oracle_peak(p, _drive(omega, q["mode"]))
+        from .charging import ChargingSpec
+
+        w_max = oracle_peak(p, ChargingSpec(omega, q["mode"]))
         try:
             c = work_coefficients(p)
         except ValueError:
@@ -389,22 +378,28 @@ def _cmd_sweep(ns) -> list:
 
 def _work_curve_columns(p: SpinParams, omega: float, mode: str,
                         t_max: float, samples: int) -> list:
-    """WORK_COLUMNS for a checked drive and a CLI mode name: both paths'
-    samples, then the mode and drive.
+    """WORK_COLUMNS for a checked drive: both paths' samples, then the mode
+    and drive.
 
     In charging-only mode the oracle is the dynamics' own two harmonics,
-    evaluated on a list of times without numpy; full mode propagates.
+    evaluated on a list of times without numpy; full mode propagates. The
+    oracle needs no closed form, so W_closed reads nan where beta != 1 or
+    the coefficients overflow.
     """
-    coeffs = work_coefficients(p)
     if mode == "charging-only":
         times = sample_times(t_max, samples)
         oracle = cosine_work((omega / 2.0, omega), dynamics_coefficients(p), times)
     else:
-        from .charging import work_series
+        from .charging import ChargingSpec, work_series
 
-        series = work_series(p, _drive(omega, mode), t_max=t_max, n=samples)
+        series = work_series(p, ChargingSpec(omega, mode), t_max=t_max, n=samples)
         times, oracle = series.times, series.values
-    closed = closed_form_work(coeffs, omega, times)
+    try:
+        coeffs = work_coefficients(p)
+    except ValueError:
+        closed = [math.nan] * len(times)
+    else:
+        closed = closed_form_work(coeffs, omega, times)
     return [times, closed, oracle, mode, omega]
 
 
@@ -443,12 +438,12 @@ def _figure5(ns) -> list:
 
 def _cmd_report(ns) -> list:
     p = _spin(vars(ns))
-    report = consistency_report(p, _drive(ns.omega))
+    report = consistency_report(p, ns.omega)
 
     def per_fit(field: str) -> list:
         return [getattr(fit, field) for fit in report.fits]
 
-    return [[_MODE_TO_CLI[mode] for mode in per_fit("mode")], report.omega,
+    return [per_fit("mode"), ns.omega,
             p.J, p.Jz, p.gamma, p.B, p.beta, report.a_printed, report.b_printed,
             per_fit("a_fitted"), per_fit("b_fitted"), per_fit("alpha0"),
             per_fit("residual"), per_fit("ratio_a"), per_fit("ratio_b"),
@@ -469,7 +464,7 @@ FLAGS = {
     "omega": {"type": float, "help": "drive strength"},
     "t_max": {"type": float, "help": "time-series end; whole drive periods if left out"},
     "samples": {"type": int, "help": "time-series sample count"},
-    "mode": {"choices": sorted(_MODE_FROM_CLI), "help": "propagation mode"},
+    "mode": {"choices": MODES, "help": "propagation mode"},
     "out": {"help": "write output here (figure: directory)"},
     "format": {"choices": ("csv", "json"), "help": "output format"},
     "config": {"help": "JSON file of flag values; explicit flags override it"},

@@ -12,6 +12,10 @@ from dataclasses import dataclass
 # eta below this evaluates sinh(eta)/eta by its series limit
 SINHC_SERIES_TOL = 1e-8
 
+# the propagation modes, as the CLI's --mode takes them and every output
+# prints them: the drive alone, or the battery plus the drive
+MODES = ("charging-only", "full")
+
 
 class UnsupportedClosedFormError(ValueError):
     """The closed-form thermal expressions are specific to beta = 1."""

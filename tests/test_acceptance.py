@@ -173,7 +173,7 @@ def test_criterion_07_oracle_spot_value():
     h = build_total_hamiltonian(p)
     rho0 = gibbs_state(p)
     e0 = expectation(h, rho0)
-    h_c = build_charging_hamiltonian(DRIVE)
+    h_c = build_charging_hamiltonian(DRIVE.omega)
     t_half = math.pi
 
     u_spectral = unitary_exp(h_c, t_half)
@@ -194,7 +194,7 @@ def test_criterion_07_oracle_spot_value():
 
 
 def test_criterion_08_reconciliation_report(capsys, tmp_path):
-    report = consistency_report(FIG1_PARAMS, DRIVE)
+    report = consistency_report(FIG1_PARAMS, 1.0)
     out_file = tmp_path / "report.csv"
     code = cli.main(["report", "--J", "0.2", "--Jz", "0.2", "--gamma", "0.5",
                      "--B", "1", "--omega", "1", "--out", str(out_file)])
@@ -204,7 +204,7 @@ def test_criterion_08_reconciliation_report(capsys, tmp_path):
     assert header == list(cli.REPORT_COLUMNS)
     by_mode = {r["mode"]: r for r in rows}
     drive_row = by_mode["charging-only"]
-    drive_fit = {f.mode: f for f in report.fits}["charging_only"]
+    drive_fit = {f.mode: f for f in report.fits}["charging-only"]
     # 17-significant-digit formatting round-trips doubles exactly
     assert float(drive_row["a_printed"]) == report.a_printed
     assert float(drive_row["a_fitted"]) == drive_fit.a_fitted

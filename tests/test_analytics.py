@@ -31,7 +31,6 @@ from xyzbattery.analytics import (
     work_coefficients,
 )
 from xyzbattery.charging import (
-    MODES,
     ChargingSpec,
     WorkSeries,
     evolve,
@@ -48,6 +47,7 @@ from xyzbattery.model import (
     gibbs_state,
     thermal_elements,
 )
+from xyzbattery.params import MODES
 
 # frozen: 50-digit evaluations at J=0.2, Jz=0.2, gamma=0.5, B=1, beta=1
 A_FIG1 = 1.6845720536056897308
@@ -388,11 +388,11 @@ class TestHarmonicFit:
 
 class TestConsistencyReport:
     def test_fig1_reconciliation(self):
-        report = consistency_report(FIG1_PARAMS, ChargingSpec(omega=1.0))
+        report = consistency_report(FIG1_PARAMS, 1.0)
         assert abs(report.a_printed - A_FIG1) < 1e-14
         assert abs(report.w_half_period_closed - TWO_A_FIG1) < 1e-13
         by_mode = {fit.mode: fit for fit in report.fits}
-        drive = by_mode["charging_only"]
+        drive = by_mode["charging-only"]
         # the drive-only dynamics carries exactly one quarter of the printed
         # single-harmonic amplitude
         assert drive.residual < 1e-9
@@ -403,9 +403,9 @@ class TestConsistencyReport:
 
     def test_zero_field_amplitudes_vanish(self):
         p = SpinParams(J=0.2, Jz=0.2, gamma=0.5, B=0.0)
-        report = consistency_report(p, ChargingSpec(omega=1.0))
+        report = consistency_report(p, 1.0)
         assert report.a_printed == 0.0
-        drive = {fit.mode: fit for fit in report.fits}["charging_only"]
+        drive = {fit.mode: fit for fit in report.fits}["charging-only"]
         assert abs(drive.a_fitted) < 1e-10
 
 

@@ -10,7 +10,6 @@ import pytest
 from conftest import FIG1_PARAMS, draw_params, expm_taylor, random_density
 from xyzbattery.analytics import harmonic_fit, work_coefficients
 from xyzbattery.charging import (
-    MODES,
     ChargingSpec,
     build_charging_hamiltonian,
     ergotropy,
@@ -31,6 +30,7 @@ from xyzbattery.linalg import (
     unitary_exp,
 )
 from xyzbattery.model import SpinParams, build_total_hamiltonian, gibbs_state
+from xyzbattery.params import MODES
 
 # frozen: 50-digit 2*B^2*sinh(eta)/d at J=0.2, Jz=0.2, gamma=0.5, B=1
 W_HALF_PERIOD_FIG1 = 0.84228602680284486539
@@ -50,23 +50,23 @@ class TestChargingSpec:
 
 class TestChargingHamiltonian:
     def test_spectrum(self):
-        h = build_charging_hamiltonian(SPEC_1)
+        h = build_charging_hamiltonian(1.0)
         assert np.allclose(hermitian_eig(h).eigenvalues, [-1, 0, 0, 1], atol=1e-14)
 
     def test_linear_in_omega(self):
-        h1 = build_charging_hamiltonian(ChargingSpec(omega=1.0))
-        h2 = build_charging_hamiltonian(ChargingSpec(omega=2.0))
+        h1 = build_charging_hamiltonian(1.0)
+        h2 = build_charging_hamiltonian(2.0)
         assert np.array_equal(h2, 2.0 * h1)
 
     def test_vanishing_diagonal_expectation(self):
         rho00 = np.zeros((4, 4), dtype=complex)
         rho00[0, 0] = 1.0
-        assert expectation(build_charging_hamiltonian(SPEC_1), rho00) == 0.0
+        assert expectation(build_charging_hamiltonian(1.0), rho00) == 0.0
 
 
 class TestPropagator:
     def test_identity_at_zero_time(self):
-        for mode in ("charging_only", "full"):
+        for mode in MODES:
             u = propagator(FIG1_PARAMS, ChargingSpec(omega=1.0, mode=mode), 0.0)
             assert np.array_equal(u, np.eye(4, dtype=complex))
 
@@ -84,7 +84,7 @@ class TestPropagator:
             p = draw_params(rng)
             t = rng.uniform(0, 20)
             omega = rng.uniform(0.2, 3.0)
-            for mode in ("charging_only", "full"):
+            for mode in MODES:
                 u = propagator(p, ChargingSpec(omega=omega, mode=mode), t)
                 assert is_unitary(u, tol=1e-12)
 
@@ -94,7 +94,7 @@ class TestPropagator:
             omega = rng.uniform(0.2, 3.0)
             t = rng.uniform(0, 15)
             spec = ChargingSpec(omega=omega)
-            h_c = build_charging_hamiltonian(spec)
+            h_c = build_charging_hamiltonian(omega)
             u = propagator(FIG1_PARAMS, spec, t)
             assert np.max(np.abs(u - unitary_exp(h_c, t))) < 1e-12
             assert np.max(np.abs(u - expm_taylor(-1j * t * h_c))) < 1e-10
@@ -117,7 +117,7 @@ class TestEvolve:
             p = draw_params(rng)
             rho = gibbs_state(p)
             t = rng.uniform(0, 10)
-            mode = "charging_only" if rng.uniform() < 0.5 else "full"
+            mode = "charging-only" if rng.uniform() < 0.5 else "full"
             u = propagator(p, ChargingSpec(omega=1.3, mode=mode), t)
             before = np.linalg.eigvalsh(rho)
             after = np.linalg.eigvalsh(evolve(rho, u))
@@ -135,7 +135,7 @@ class TestEvolve:
 
 class TestStoredWork:
     def test_zero_at_start(self):
-        for mode in ("charging_only", "full"):
+        for mode in MODES:
             spec = ChargingSpec(omega=1.0, mode=mode)
             assert work_curve(FIG1_PARAMS, spec)(0.0) == 0.0
 

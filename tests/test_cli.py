@@ -17,11 +17,18 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import two_harmonic_extremes
+from conftest import FIG1_PARAMS, two_harmonic_extremes
 from xyzbattery import cli
-from xyzbattery.analytics import dynamics_coefficients, max_work, oracle_peak, work_coefficients
-from xyzbattery.charging import ChargingSpec
+from xyzbattery.analytics import (
+    consistency_report,
+    dynamics_coefficients,
+    max_work,
+    oracle_peak,
+    work_coefficients,
+)
+from xyzbattery.charging import ChargingSpec, work_curve
 from xyzbattery.model import SpinParams
+from xyzbattery.params import MODES
 
 FIG1_FLAGS = ["--J", "0.2", "--Jz", "0.2", "--gamma", "0.5", "--B", "1"]
 
@@ -115,9 +122,27 @@ class TestWorkCommand:
         code, _, _ = run_cli(capsys, "work", *FIG1_FLAGS, "--samples", "1")
         assert code == 2
 
-    def test_rejects_general_beta(self, capsys):
-        code, _, _ = run_cli(capsys, "work", *FIG1_FLAGS, "--beta", "2")
-        assert code == 2
+    @pytest.mark.parametrize("p", [
+        SpinParams(J=0.2, Jz=0.2, gamma=0.5, B=1.0, beta=2.0),
+        SpinParams(J=0.2, Jz=0.2, gamma=0.5, B=800.0),
+    ], ids=["beta-2", "B-800"])
+    def test_undefined_closed_form_reads_nan(self, capsys, p):
+        """Where the printed coefficients are undefined (beta != 1) or
+        overflow, W_closed reads nan and W_oracle still prints the curve."""
+        with pytest.raises(ValueError):
+            work_coefficients(p)
+        flags = [f"{cli._flag(k)}={getattr(p, k)!r}" for k in ("J", "Jz", "gamma", "B", "beta")]
+        for mode in MODES:
+            code, out, err = run_cli(capsys, "work", *flags, "--mode", mode, "--samples", "9")
+            assert code == 0 and err == ""
+            _, rows = parse_csv(out)
+            assert [r["W_closed"] for r in rows] == ["nan"] * 9
+            assert rows[0]["W_oracle"] == "0"
+            times = [float(r["t"]) for r in rows]
+            # the CLI evaluates a charging-only curve on a list, a full one on an array
+            curve = work_curve(p, ChargingSpec(1.0, mode))
+            expected = curve(times if mode == "charging-only" else np.array(times))
+            assert [float(r["W_oracle"]) for r in rows] == list(expected)
 
 
 class TestCoeffsCommand:
@@ -351,6 +376,16 @@ class TestReportCommand:
         assert manifest["parameters"]["J"] == 0.2
 
 
+class TestOneModeVocabulary:
+    def test_every_layer_spells_the_modes_alike(self, capsys):
+        fits = consistency_report(FIG1_PARAMS, 1.0).fits
+        code, out, _ = run_cli(capsys, "report", *FIG1_FLAGS)
+        assert code == 0
+        printed = [r["mode"] for r in parse_csv(out)[1]]
+        assert (list(MODES) == list(cli.FLAGS["mode"]["choices"])
+                == [fit.mode for fit in fits] == printed == ["charging-only", "full"])
+
+
 class TestConfigAndFormats:
     def test_config_file_supplies_parameters(self, capsys, tmp_path):
         config = tmp_path / "run.json"
@@ -526,7 +561,6 @@ class TestOverflowExits2:
 
     @pytest.mark.parametrize("argv", [
         ("coeffs", "--J", "0.2", "--Jz", "0.2", "--gamma", "0.5", "--B", "800"),
-        ("work", "--J", "0.2", "--Jz", "0.2", "--gamma", "0.5", "--B", "800"),
         ("report", "--J", "0.2", "--Jz", "0.2", "--gamma", "0.5", "--B", "800"),
         ("maxwork", "--J", "0.2", "--Jz", "800", "--gamma", "0.5", "--B", "1"),
         ("gibbs", "--J", "0.2", "--Jz", "0.2", "--gamma", "0.5", "--B", "1500"),
@@ -543,7 +577,7 @@ class TestOverflowExits2:
         ("figure", "1", "--t-max", "1e308", "--samples", "3"),
         ("work", "--J", "0.2", "--Jz", "500", "--gamma", "0.5", "--B", "1",
          "--mode", "full", "--t-max", "1e306", "--samples", "3"),
-    ], ids=["coeffs-B", "work-B", "report-B", "maxwork-Jz", "gibbs-B", "gibbs-product",
+    ], ids=["coeffs-B", "report-B", "maxwork-Jz", "gibbs-B", "gibbs-product",
             "sweep-B", "spectrum-residual", "coeffs-b1", "spectrum-energies",
             "spectrum-ratio", "spectrum-zero-vector", "work-t_max", "figure1-t_max",
             "work-full-t_max"])
@@ -1117,6 +1151,17 @@ _NAN_COLUMNS = {
 }
 
 
+def _closed_form_undefined(argv) -> bool:
+    """Whether the printed coefficients are undefined at the argv's battery
+    parameters: beta != 1, or an overflow."""
+    ns, _, _ = cli._parse(cli.build_parser(), argv)
+    try:
+        work_coefficients(cli._spin(vars(ns)))
+    except ValueError:
+        return True
+    return False
+
+
 def _run_captured(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -1142,5 +1187,11 @@ class TestExitCodeContract:
         header, *rows = csv.reader(io.StringIO(out))
         nan_columns = {column for row in rows
                        for column, cell in zip(header, row) if cell == "nan"}
-        assert nan_columns <= _NAN_COLUMNS[argv[0]], argv
+        allowed = _NAN_COLUMNS[argv[0]]
+        if argv[0] == "work" and _closed_form_undefined(argv):
+            # work prints the oracle alone: every W_closed cell reads nan
+            at = header.index("W_closed")
+            assert {row[at] for row in rows} == {"nan"}, argv
+            allowed = allowed | {"W_closed"}
+        assert nan_columns <= allowed, argv
         assert _run_captured(argv)[1] == out, argv
