@@ -20,7 +20,7 @@ from .params import (MODES, SpinParams, UnsupportedClosedFormError, check_omega,
                      eta_value, sinhc)
 
 if TYPE_CHECKING:
-    from .charging import ChargingSpec, WorkSeries
+    from .charging import ChargingSpec
 
 B_COEFF_ZERO_TOL = 1e-14
 GRID_POINTS_PER_PERIOD = 100_000
@@ -211,8 +211,6 @@ def cosine_work(half_gaps, amplitudes, t):
     import numpy as np
 
     times = np.asarray(t, dtype=float)
-    if times.ndim == 0:  # 0-d arithmetic costs microseconds: take the float path
-        return cosine_work(half_gaps, amplitudes, float(times))
     finite = np.isfinite(times)
     if not finite.all():
         raise ValueError(f"time must be finite, got {float(times[~finite][0])!r}")
@@ -222,7 +220,7 @@ def cosine_work(half_gaps, amplitudes, t):
             phase = 2.0 * (half_gap * times)
             if not np.isfinite(phase).all():
                 raise _phase_overflow(half_gap, np.max(np.abs(times)))
-            total = total + amplitude * (1.0 - np.cos(phase))
+            total += amplitude * (1.0 - np.cos(phase))
     return total
 
 
@@ -403,19 +401,20 @@ def large_B_asymptote(p: SpinParams) -> float:
     return 8.0 * p.B
 
 
-def harmonic_fit(series: WorkSeries) -> HarmonicFit:
-    """Least-squares two-cosine fit of a sampled work series.
+def harmonic_fit(times, values, omega: float) -> HarmonicFit:
+    """Least-squares two-cosine fit of work values sampled at ascending times.
 
-    Requires at least 16 samples spanning at least one full drive period.
-    The reported residual is the maximum absolute fit error.
+    Requires at least 16 samples spanning at least one full period of the
+    drive omega. The reported residual is the maximum absolute fit error.
+    Raises ValueError when the coefficients or the residual overflow.
     """
     import numpy as np
 
-    times = np.asarray(series.times, dtype=float)
-    values = np.asarray(series.values, dtype=float)
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
     if times.size < 16:
         raise ValueError(f"need at least 16 samples to fit, got {times.size}")
-    period = 2.0 * math.pi / series.omega
+    period = 2.0 * math.pi / omega
     span = times[-1] - times[0]
     if span < period * (1.0 - 1e-9):
         raise ValueError(
@@ -425,12 +424,16 @@ def harmonic_fit(series: WorkSeries) -> HarmonicFit:
     basis = np.column_stack(
         [
             np.ones_like(times),
-            np.cos(series.omega * times),
-            np.cos(2.0 * series.omega * times),
+            np.cos(omega * times),
+            np.cos(2.0 * omega * times),
         ]
     )
-    coef, *_ = np.linalg.lstsq(basis, values, rcond=None)
-    residual = float(np.max(np.abs(basis @ coef - values)))
+    with np.errstate(all="ignore"):  # checked below
+        coef, *_ = np.linalg.lstsq(basis, values, rcond=None)
+        residual = float(np.max(np.abs(basis @ coef - values)))
+    if not math.isfinite(residual):  # so is any non-finite coefficient
+        raise ValueError(f"harmonic fit overflowed for values up to "
+                         f"{float(np.max(np.abs(values)))!r}")
     return HarmonicFit(
         alpha0=float(coef[0]), alpha1=float(coef[1]), alpha2=float(coef[2]),
         residual=residual,
@@ -446,22 +449,32 @@ def _ratio(printed: float, fitted: float) -> float:
 def consistency_report(p: SpinParams, omega: float) -> ConsistencyReport:
     """Reconcile the printed coefficients with harmonic fits of the dynamics.
 
-    For each propagation mode (params.MODES) a one-period work series of
-    REPORT_SAMPLES samples at drive strength omega is fitted and the
+    For each propagation mode (params.MODES) the work at drive strength omega
+    is sampled at REPORT_SAMPLES times over one period and fitted, and the
     printed/fitted amplitude ratios are recorded, together with the stored
-    work at half period from both paths. Nothing is judged pass/fail here;
-    the record is evidence.
+    work at half period from both paths. Where the printed coefficients are
+    undefined (beta != 1 or an overflow), the printed values, the ratios and
+    the closed-form half-period work read nan and the fits stand alone.
+    Nothing is judged pass/fail here; the record is evidence.
     """
+    import numpy as np
+
     from .charging import ChargingSpec, work_curve
 
     check_omega(omega)
-    coeffs = work_coefficients(p)
-    period = 2.0 * math.pi / omega
     half_period = math.pi / omega
+    try:
+        coeffs = work_coefficients(p)
+    except ValueError:
+        a_printed = b_printed = w_half_period_closed = math.nan
+    else:
+        a_printed, b_printed = coeffs.a, coeffs.b
+        w_half_period_closed = closed_form_work(coeffs, omega, half_period)
+    times = np.array(sample_times(2.0 * math.pi / omega, REPORT_SAMPLES))
     fits = []
     for mode in MODES:
         curve = work_curve(p, ChargingSpec(omega, mode))
-        fit = harmonic_fit(curve.series(t_max=period, n=REPORT_SAMPLES))
+        fit = harmonic_fit(times, curve(times), omega)
         a_fitted = -fit.alpha1
         b_fitted = -fit.alpha2
         fits.append(
@@ -471,17 +484,13 @@ def consistency_report(p: SpinParams, omega: float) -> ConsistencyReport:
                 b_fitted=b_fitted,
                 alpha0=fit.alpha0,
                 residual=fit.residual,
-                ratio_a=_ratio(coeffs.a, a_fitted),
-                ratio_b=_ratio(coeffs.b, b_fitted),
+                ratio_a=_ratio(a_printed, a_fitted),
+                ratio_b=_ratio(b_printed, b_fitted),
                 w_half_period_oracle=curve(half_period),
             )
         )
-    return ConsistencyReport(
-        a_printed=coeffs.a,
-        b_printed=coeffs.b,
-        w_half_period_closed=closed_form_work(coeffs, omega, half_period),
-        fits=tuple(fits),
-    )
+    return ConsistencyReport(a_printed=a_printed, b_printed=b_printed,
+                             w_half_period_closed=w_half_period_closed, fits=tuple(fits))
 
 
 def oracle_peak(p: SpinParams, spec: ChargingSpec) -> float:

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytics import cosine_work, dynamics_coefficients, sample_times
-from .linalg import IDENTITY_2, SIGMA_X, expectation, hermitian_eig, tensor, unitary_exp
+from .linalg import IDENTITY_2, SIGMA_X, expectation, hermitian_eig, unitary_exp
 from .model import build_total_hamiltonian, gibbs_state
 from .params import MODES, SpinParams, check_omega
 
 # the drive's spin operator (X1 + X2)/2, built once
-_SX_TOTAL = (tensor(SIGMA_X, IDENTITY_2) + tensor(IDENTITY_2, SIGMA_X)) / 2.0
+_SX_TOTAL = (np.kron(SIGMA_X, IDENTITY_2) + np.kron(IDENTITY_2, SIGMA_X)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -34,15 +34,6 @@ class ChargingSpec:
         check_omega(self.omega)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-
-
-@dataclass(frozen=True)
-class WorkSeries:
-    """Stored work sampled on an ascending time grid."""
-
-    times: np.ndarray
-    values: np.ndarray
-    omega: float
 
 
 def build_charging_hamiltonian(omega: float) -> np.ndarray:
@@ -87,7 +78,6 @@ class WorkCurve:
     Half-gaps stay finite where a gap, such as 2*omega, would overflow.
     """
 
-    omega: float
     half_gaps: np.ndarray
     amplitudes: np.ndarray
 
@@ -95,11 +85,6 @@ class WorkCurve:
         """W at a scalar time (returns float), a list of times (list) or an
         array of times (same shape)."""
         return cosine_work(self.half_gaps, self.amplitudes, t)
-
-    def series(self, t_max: float, n: int) -> WorkSeries:
-        """W sampled uniformly on [0, t_max] with inclusive endpoints."""
-        times = np.array(sample_times(t_max, n))
-        return WorkSeries(times=times, values=self(times), omega=self.omega)
 
 
 def work_curve(p: SpinParams, spec: ChargingSpec) -> WorkCurve:
@@ -110,7 +95,7 @@ def work_curve(p: SpinParams, spec: ChargingSpec) -> WorkCurve:
     is diagonalised once.
     """
     if spec.mode == "charging-only":
-        return WorkCurve(omega=spec.omega, half_gaps=np.array([spec.omega / 2.0, spec.omega]),
+        return WorkCurve(half_gaps=np.array([spec.omega / 2.0, spec.omega]),
                          amplitudes=np.array(dynamics_coefficients(p)))
     h = build_total_hamiltonian(p)
     eig = hermitian_eig(h + build_charging_hamiltonian(spec.omega))
@@ -120,13 +105,14 @@ def work_curve(p: SpinParams, spec: ChargingSpec) -> WorkCurve:
     weights = (v_dag @ h @ v).T * (v_dag @ rho0 @ v)
     half = eig.eigenvalues / 2.0
     j, k = np.triu_indices(half.size, 1)
-    return WorkCurve(omega=spec.omega, half_gaps=half[k] - half[j],
-                     amplitudes=-2.0 * weights.real[j, k])
+    return WorkCurve(half_gaps=half[k] - half[j], amplitudes=-2.0 * weights.real[j, k])
 
 
-def work_series(p: SpinParams, spec: ChargingSpec, t_max: float, n: int) -> WorkSeries:
-    """Stored work sampled uniformly on [0, t_max] with inclusive endpoints."""
-    return work_curve(p, spec).series(t_max, n)
+def work_series(p: SpinParams, spec: ChargingSpec, t_max: float,
+                n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(times, W at those times): n samples on [0, t_max], ends included."""
+    times = np.array(sample_times(t_max, n))
+    return times, work_curve(p, spec)(times)
 
 
 def passive_state(rho: np.ndarray, h: np.ndarray) -> np.ndarray:

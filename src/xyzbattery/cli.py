@@ -12,8 +12,6 @@ import argparse
 import json
 import math
 import sys
-# not called here: perfbench/tracer.py patches and restores cli.ThreadPoolExecutor
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -70,14 +68,17 @@ SWEEP_QUANTITIES = CLOSED_FORM_QUANTITIES + ("w_series_peak_oracle",)
 
 
 def __getattr__(name: str):
-    """charging.work_series, bound here on first read: tools that patch the
-    functions the CLI calls look it up as cli.work_series."""
+    """charging.work_series and concurrent.futures.ThreadPoolExecutor, bound
+    here on first read: tools that patch what the CLI calls look them up as
+    cli.work_series and cli.ThreadPoolExecutor. Neither loads at import."""
     if name == "work_series":
-        from .charging import work_series
-
-        globals()[name] = work_series
-        return work_series
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        from .charging import work_series as value
+    elif name == "ThreadPoolExecutor":
+        from concurrent.futures import ThreadPoolExecutor as value
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +393,7 @@ def _work_curve_columns(p: SpinParams, omega: float, mode: str,
     else:
         from .charging import ChargingSpec, work_series
 
-        series = work_series(p, ChargingSpec(omega, mode), t_max=t_max, n=samples)
-        times, oracle = series.times, series.values
+        times, oracle = work_series(p, ChargingSpec(omega, mode), t_max=t_max, n=samples)
     try:
         coeffs = work_coefficients(p)
     except ValueError:

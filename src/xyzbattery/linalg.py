@@ -1,9 +1,8 @@
 """Exact complex linear algebra for the two-spin (4x4) workspace.
 
-Pauli matrices, Kronecker products in the fixed |00>,|01>,|10>,|11> basis
-ordering, Hermitian eigendecomposition with a deterministic sign/phase
-convention, unitary exponentials, and trace pairings. All operators are
-plain complex numpy arrays; model units set hbar = k_B = 1.
+Pauli matrices, Hermitian eigendecomposition with a deterministic
+sign/phase convention, unitary exponentials, and trace pairings. All
+operators are plain complex numpy arrays; model units set hbar = k_B = 1.
 """
 
 from __future__ import annotations
@@ -43,25 +42,14 @@ def _as_square(m: np.ndarray, name: str) -> np.ndarray:
     return m
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
+def is_hermitian(m: np.ndarray) -> bool:
     m = np.asarray(m, dtype=complex)
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+    return bool(np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL)
 
 
-def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
+def is_unitary(u: np.ndarray) -> bool:
     u = np.asarray(u, dtype=complex)
-    return bool(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) <= tol)
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two single-spin (2x2) operators."""
-    a = _as_square(a, "first operand")
-    b = _as_square(b, "second operand")
-    if a.shape != (2, 2) or b.shape != (2, 2):
-        raise ValueError(
-            f"tensor expects two 2x2 operands, got {a.shape} and {b.shape}"
-        )
-    return np.kron(a, b)
+    return bool(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) <= UNITARY_TOL)
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:

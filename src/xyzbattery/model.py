@@ -13,17 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, tensor
+from .linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from .params import SpinParams, UnsupportedClosedFormError, eta_value, sinhc
 
 # |gamma*J| below this treats the |00>/|11> corner block as already diagonal
 DEGENERATE_CORNER_TOL = 1e-12
 
-# two-spin operators of the battery Hamiltonian, built once
-_XX = tensor(SIGMA_X, SIGMA_X)
-_YY = tensor(SIGMA_Y, SIGMA_Y)
-_ZZ = tensor(SIGMA_Z, SIGMA_Z)
-_Z_TOTAL = tensor(SIGMA_Z, IDENTITY_2) + tensor(IDENTITY_2, SIGMA_Z)
+# two-spin operators of the battery Hamiltonian, built once in the
+# |00>,|01>,|10>,|11> basis ordering (spin 1 is the left Kronecker factor)
+_XX = np.kron(SIGMA_X, SIGMA_X)
+_YY = np.kron(SIGMA_Y, SIGMA_Y)
+_ZZ = np.kron(SIGMA_Z, SIGMA_Z)
+_Z_TOTAL = np.kron(SIGMA_Z, IDENTITY_2) + np.kron(IDENTITY_2, SIGMA_Z)
 
 
 @dataclass(frozen=True)

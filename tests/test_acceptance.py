@@ -156,13 +156,13 @@ def test_criterion_06_harmonic_structure():
     for _ in range(100):
         p = draw_params(rng)
         spec = ChargingSpec(omega=rng.uniform(0.3, 2.5))
-        series = work_series(p, spec, t_max=2.0 * math.pi / spec.omega, n=64)
-        worst = max(worst, harmonic_fit(series).residual)
+        times, values = work_series(p, spec, t_max=2.0 * math.pi / spec.omega, n=64)
+        worst = max(worst, harmonic_fit(times, values, spec.omega).residual)
     assert worst < 1e-9
     p0 = SpinParams(J=rng.uniform(-2, 2), Jz=rng.uniform(-2, 2),
                     gamma=rng.uniform(-1, 1), B=0.0)
-    series0 = work_series(p0, DRIVE, t_max=2.0 * math.pi, n=64)
-    alpha1 = harmonic_fit(series0).alpha1
+    alpha1 = harmonic_fit(*work_series(p0, DRIVE, t_max=2.0 * math.pi, n=64),
+                          DRIVE.omega).alpha1
     assert abs(alpha1) < 1e-10
     _passed(6, f"100 draws, max fit residual {worst:.2e}; "
                f"B=0 single-harmonic amplitude {abs(alpha1):.2e}")

@@ -32,7 +32,6 @@ from xyzbattery.analytics import (
 )
 from xyzbattery.charging import (
     ChargingSpec,
-    WorkSeries,
     evolve,
     propagator,
     work_curve,
@@ -170,6 +169,12 @@ class TestCosineWork:
             phase = omega * times
             expected = c.a * (1.0 - np.cos(phase)) + c.b * (1.0 - np.cos(2.0 * phase))
             assert np.array_equal(closed_form_work(c, omega, times), expected)
+
+    def test_zero_d_array_gives_zero_d_array(self):
+        half_gaps, amplitudes = np.array([0.35, 0.7]), np.array([0.4, -0.1])
+        value = cosine_work(half_gaps, amplitudes, np.array(2.3))
+        assert type(value) is np.ndarray and value.shape == ()
+        assert value == cosine_work(half_gaps, amplitudes, 2.3)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, np.array([1.0, -math.inf])])
     def test_rejects_non_finite_time(self, t):
@@ -354,12 +359,7 @@ class TestHarmonicFit:
     def test_round_trip_from_closed_form(self):
         c = work_coefficients(FIG1_PARAMS)
         times = np.linspace(0.0, 2.0 * math.pi, 64)
-        series = WorkSeries(
-            times=times,
-            values=closed_form_work(c, 1.0, times),
-            omega=1.0,
-        )
-        fit = harmonic_fit(series)
+        fit = harmonic_fit(times, closed_form_work(c, 1.0, times), 1.0)
         assert abs(fit.alpha0 - (c.a + c.b)) < 1e-10
         assert abs(fit.alpha1 - (-c.a)) < 1e-10
         assert abs(fit.alpha2 - (-c.b)) < 1e-10
@@ -370,20 +370,30 @@ class TestHarmonicFit:
         for _ in range(20):
             p = draw_params(rng)
             spec = ChargingSpec(omega=rng.uniform(0.3, 2.5))
-            series = work_series(p, spec, t_max=2.0 * math.pi / spec.omega, n=64)
-            assert harmonic_fit(series).residual < 1e-9
+            times, values = work_series(p, spec, t_max=2.0 * math.pi / spec.omega, n=64)
+            assert harmonic_fit(times, values, spec.omega).residual < 1e-9
 
     def test_rejects_short_series(self):
-        series = work_series(FIG1_PARAMS, ChargingSpec(omega=1.0),
-                             t_max=2.0 * math.pi, n=15)
+        times, values = work_series(FIG1_PARAMS, ChargingSpec(omega=1.0),
+                                    t_max=2.0 * math.pi, n=15)
         with pytest.raises(ValueError):
-            harmonic_fit(series)
+            harmonic_fit(times, values, 1.0)
 
     def test_rejects_partial_period(self):
-        series = work_series(FIG1_PARAMS, ChargingSpec(omega=1.0),
-                             t_max=math.pi, n=32)
+        times, values = work_series(FIG1_PARAMS, ChargingSpec(omega=1.0),
+                                    t_max=math.pi, n=32)
         with pytest.raises(ValueError):
-            harmonic_fit(series)
+            harmonic_fit(times, values, 1.0)
+
+    def test_overflow_raises_without_a_warning(self):
+        # finite samples whose fit sums alpha0 + |alpha1| ~ 1.95e308 at phase
+        # pi; pytest turns any warning into an error, so none may escape
+        times = np.linspace(0.0, 2.0 * math.pi, 64)
+        values = closed_form_work(WorkCoefficients(0.85e308, 0.25e308, *[0.0] * 5), 1.0,
+                                  times)
+        assert np.isfinite(values).all()
+        with pytest.raises(ValueError, match="harmonic fit overflowed"):
+            harmonic_fit(times, values, 1.0)
 
 
 class TestConsistencyReport:
@@ -422,10 +432,10 @@ class TestOraclePeak:
             omega = rng.uniform(0.25, 3.0)
             for mode in MODES:
                 spec = ChargingSpec(omega=omega, mode=mode)
-                dense = work_curve(p, spec).series(2.0 * math.pi / omega, 200_001)
+                _, dense = work_series(p, spec, 2.0 * math.pi / omega, 200_001)
                 peak = oracle_peak(p, spec)
-                assert peak >= np.max(dense.values) - 1e-12
-                assert peak - np.max(dense.values) < 1e-8 * max(1.0, peak)
+                assert peak >= np.max(dense) - 1e-12
+                assert peak - np.max(dense) < 1e-8 * max(1.0, peak)
 
 
 _SIGNED = st.floats(-2.0, 2.0)

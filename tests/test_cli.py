@@ -20,10 +20,13 @@ from hypothesis import strategies as st
 from conftest import FIG1_PARAMS, two_harmonic_extremes
 from xyzbattery import cli
 from xyzbattery.analytics import (
+    REPORT_SAMPLES,
     consistency_report,
     dynamics_coefficients,
+    harmonic_fit,
     max_work,
     oracle_peak,
+    sample_times,
     work_coefficients,
 )
 from xyzbattery.charging import ChargingSpec, work_curve
@@ -376,6 +379,42 @@ class TestReportCommand:
         assert manifest["parameters"]["J"] == 0.2
 
 
+class TestReportWithoutClosedForm:
+    """Where the printed coefficients are undefined (beta != 1) or overflow,
+    report's printed columns read nan and the fits still print."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("p", [
+        SpinParams(J=0.2, Jz=0.2, gamma=0.5, B=1.0, beta=2.0),
+        SpinParams(J=0.2, Jz=0.2, gamma=0.5, B=800.0),
+    ], ids=["beta-2", "B-800"])
+    def test_printed_cells_read_nan(self, capsys, p, fmt):
+        with pytest.raises(ValueError):
+            work_coefficients(p)
+        flags = [f"{cli._flag(k)}={getattr(p, k)!r}" for k in ("J", "Jz", "gamma", "B", "beta")]
+        code, out, err = run_cli(capsys, "report", *flags, "--format", fmt)
+        assert code == 0 and err == ""
+        if fmt == "json":
+            payload = json.loads(out, parse_constant=_reject_constant)
+            rows = [dict(zip(payload["columns"], row)) for row in payload["rows"]]
+            undefined = None
+        else:
+            rows = [{k: v if k == "mode" else float(v) for k, v in r.items()}
+                    for r in parse_csv(out)[1]]
+            undefined = math.nan
+        times = np.array(sample_times(2.0 * math.pi, REPORT_SAMPLES))
+        assert [r["mode"] for r in rows] == list(MODES)
+        for r in rows:
+            for column in ("a_printed", "b_printed", "ratio_a", "ratio_b",
+                           "w_half_period_closed"):
+                assert r[column] is undefined or math.isnan(r[column]), column
+            curve = work_curve(p, ChargingSpec(1.0, r["mode"]))
+            fit = harmonic_fit(times, curve(times), 1.0)
+            assert [r["a_fitted"], r["b_fitted"], r["alpha0"], r["residual"]] == [
+                -fit.alpha1, -fit.alpha2, fit.alpha0, fit.residual]
+            assert r["w_half_period_oracle"] == curve(math.pi)
+
+
 class TestOneModeVocabulary:
     def test_every_layer_spells_the_modes_alike(self, capsys):
         fits = consistency_report(FIG1_PARAMS, 1.0).fits
@@ -561,7 +600,6 @@ class TestOverflowExits2:
 
     @pytest.mark.parametrize("argv", [
         ("coeffs", "--J", "0.2", "--Jz", "0.2", "--gamma", "0.5", "--B", "800"),
-        ("report", "--J", "0.2", "--Jz", "0.2", "--gamma", "0.5", "--B", "800"),
         ("maxwork", "--J", "0.2", "--Jz", "800", "--gamma", "0.5", "--B", "1"),
         ("gibbs", "--J", "0.2", "--Jz", "0.2", "--gamma", "0.5", "--B", "1500"),
         ("gibbs", "--J", "0.2", "--Jz", "-10", "--gamma", "0.5", "--B", "709"),
@@ -577,7 +615,7 @@ class TestOverflowExits2:
         ("figure", "1", "--t-max", "1e308", "--samples", "3"),
         ("work", "--J", "0.2", "--Jz", "500", "--gamma", "0.5", "--B", "1",
          "--mode", "full", "--t-max", "1e306", "--samples", "3"),
-    ], ids=["coeffs-B", "report-B", "maxwork-Jz", "gibbs-B", "gibbs-product",
+    ], ids=["coeffs-B", "maxwork-Jz", "gibbs-B", "gibbs-product",
             "sweep-B", "spectrum-residual", "coeffs-b1", "spectrum-energies",
             "spectrum-ratio", "spectrum-zero-vector", "work-t_max", "figure1-t_max",
             "work-full-t_max"])
@@ -1151,6 +1189,14 @@ _NAN_COLUMNS = {
 }
 
 
+# the columns whose every cell reads nan where the printed coefficients are
+# undefined
+_CLOSED_FORM_COLUMNS = {
+    "work": {"W_closed"},
+    "report": {"a_printed", "b_printed", "ratio_a", "ratio_b", "w_half_period_closed"},
+}
+
+
 def _closed_form_undefined(argv) -> bool:
     """Whether the printed coefficients are undefined at the argv's battery
     parameters: beta != 1, or an overflow."""
@@ -1188,10 +1234,11 @@ class TestExitCodeContract:
         nan_columns = {column for row in rows
                        for column, cell in zip(header, row) if cell == "nan"}
         allowed = _NAN_COLUMNS[argv[0]]
-        if argv[0] == "work" and _closed_form_undefined(argv):
-            # work prints the oracle alone: every W_closed cell reads nan
-            at = header.index("W_closed")
-            assert {row[at] for row in rows} == {"nan"}, argv
-            allowed = allowed | {"W_closed"}
+        if argv[0] in _CLOSED_FORM_COLUMNS and _closed_form_undefined(argv):
+            # the oracle prints alone: every closed-form cell reads nan
+            undefined = _CLOSED_FORM_COLUMNS[argv[0]]
+            assert {cell for row in rows for column, cell in zip(header, row)
+                    if column in undefined} == {"nan"}, argv
+            allowed = allowed | undefined
         assert nan_columns <= allowed, argv
         assert _run_captured(argv)[1] == out, argv

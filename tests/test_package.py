@@ -47,8 +47,10 @@ def _run_python(code: str) -> subprocess.CompletedProcess:
 _PARAMS = ["--J", "0.2", "--Jz", "0.2", "--gamma", "0.5"]
 
 
-# loaded only by commands that diagonalise or propagate
-_HEAVY = ("numpy", "xyzbattery.linalg", "xyzbattery.model", "xyzbattery.charging")
+# loaded only by commands that diagonalise or propagate; concurrent.futures
+# by none of them
+_HEAVY = ("numpy", "xyzbattery.linalg", "xyzbattery.model", "xyzbattery.charging",
+          "concurrent.futures")
 
 
 @pytest.mark.parametrize("argv, numpy_loaded", [
