@@ -12,15 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 # numpy and the propagation layer load only in the functions that use them,
-# so the closed forms and max_work run without either
-from .params import (MODES, SpinParams, UnsupportedClosedFormError, check_omega,
-                     eta_value, sinhc)
-
-if TYPE_CHECKING:
-    from .charging import ChargingSpec
+# so the closed forms, max_work and the charging-only peak run without either
+from .params import (MODES, ChargingSpec, SpinParams, UnsupportedClosedFormError,
+                     check_omega, eta_value, sinhc)
 
 B_COEFF_ZERO_TOL = 1e-14
 GRID_POINTS_PER_PERIOD = 100_000
@@ -335,17 +332,17 @@ def grid_search_max(c: WorkCoefficients,
     return phase, value
 
 
-def _stationary_max(c: WorkCoefficients) -> float:
-    """Largest value of the signal at its stationary phases.
+def two_harmonic_max(a: float, b: float) -> float:
+    """Exact maximum over a period of a*(1 - cos phi) + b*(1 - cos 2 phi).
 
     W'(phi) = sin(phi) * (a + 4b cos(phi)) vanishes only at 0, pi and, when
-    |a| <= 4|b|, at +-arccos(-a/(4b)); the signal is even, so one sign of the
-    last is enough. The signal must not be flat (a = b = 0).
+    b != 0 and |a| <= 4|b|, at +-arccos(-a/(4b)); the signal is even, so one
+    sign of the last is enough. A flat signal (a = b = 0) gives 0.0.
     """
     phases = [0.0, math.pi]
-    if abs(c.a) <= 4.0 * abs(c.b):
-        phases.append(math.acos(-c.a / (4.0 * c.b)))
-    return max(c.a * (1.0 - math.cos(phi)) + c.b * (1.0 - math.cos(2.0 * phi))
+    if b != 0.0 and abs(a) <= 4.0 * abs(b):
+        phases.append(math.acos(-a / (4.0 * b)))
+    return max(a * (1.0 - math.cos(phi)) + b * (1.0 - math.cos(2.0 * phi))
                for phi in phases)
 
 
@@ -382,7 +379,7 @@ def max_work(c: WorkCoefficients, omega: float) -> WorkExtrema:
         w_max = 2.0 * c.a
         peak_times = (math.pi / omega,)
 
-    w_stationary = _stationary_max(c)
+    w_stationary = two_harmonic_max(c.a, c.b)
     if abs(w_stationary - w_max) > MAX_VALUE_TOL:
         raise RuntimeError(
             f"stationary-point maximum {w_stationary!r} disagrees with analytic "
@@ -425,7 +422,7 @@ def harmonic_fit(times, values, omega: float) -> HarmonicFit:
         [
             np.ones_like(times),
             np.cos(omega * times),
-            np.cos(2.0 * omega * times),
+            np.cos(2.0 * (omega * times)),
         ]
     )
     with np.errstate(all="ignore"):  # checked below
@@ -459,7 +456,7 @@ def consistency_report(p: SpinParams, omega: float) -> ConsistencyReport:
     """
     import numpy as np
 
-    from .charging import ChargingSpec, work_curve
+    from .charging import work_curve
 
     check_omega(omega)
     half_period = math.pi / omega
@@ -496,10 +493,13 @@ def consistency_report(p: SpinParams, omega: float) -> ConsistencyReport:
 def oracle_peak(p: SpinParams, spec: ChargingSpec) -> float:
     """Largest stored work of the dynamics over one drive period.
 
-    Samples the oracle curve at ORACLE_PEAK_SAMPLES evenly spaced times in
-    one call and refines the best one by golden section down to 1e-9 of a
-    period.
+    In charging-only mode the dynamics is two harmonics, so the peak is
+    exact, from their stationary phases. In full mode the oracle curve is
+    sampled at ORACLE_PEAK_SAMPLES evenly spaced times in one call and the
+    best one refined by golden section down to 1e-9 of a period.
     """
+    if spec.mode == "charging-only":
+        return two_harmonic_max(*dynamics_coefficients(p))
     from .charging import work_curve
 
     period = 2.0 * math.pi / spec.omega

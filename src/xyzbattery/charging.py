@@ -17,23 +17,10 @@ import numpy as np
 from .analytics import cosine_work, dynamics_coefficients, sample_times
 from .linalg import IDENTITY_2, SIGMA_X, expectation, hermitian_eig, unitary_exp
 from .model import build_total_hamiltonian, gibbs_state
-from .params import MODES, SpinParams, check_omega
+from .params import ChargingSpec, SpinParams
 
 # the drive's spin operator (X1 + X2)/2, built once
 _SX_TOTAL = (np.kron(SIGMA_X, IDENTITY_2) + np.kron(IDENTITY_2, SIGMA_X)) / 2.0
-
-
-@dataclass(frozen=True)
-class ChargingSpec:
-    """Drive strength and choice of propagation generator."""
-
-    omega: float
-    mode: str = "charging-only"
-
-    def __post_init__(self) -> None:
-        check_omega(self.omega)
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
 def build_charging_hamiltonian(omega: float) -> np.ndarray:

@@ -17,8 +17,8 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 # numpy, model, linalg and charging load only in the handlers that propagate
-# or diagonalise, so the closed-form commands, charging-only work curves,
-# --help and --version start without them
+# or diagonalise, so the closed-form commands, charging-only work curves and
+# peaks, --help and --version start without them
 from . import __version__
 from .analytics import (
     FlatSignalError,
@@ -34,7 +34,8 @@ from .analytics import (
     sample_times,
     work_coefficients,
 )
-from .params import MODES, SpinParams, UnsupportedClosedFormError, check_omega
+from .params import (MODES, ChargingSpec, SpinParams, UnsupportedClosedFormError,
+                     check_omega)
 
 WORK_COLUMNS = ("t", "W_closed", "W_oracle", "mode", "omega")
 SWEEP_COLUMNS = (
@@ -339,11 +340,9 @@ def _sweep_row(inputs, axis: str, value: float, quantity: str) -> list:
     omega = q["omega"]
     w_max = w_m = math.nan
     if quantity == "w_series_peak_oracle":
-        # only the oracle reads --mode and propagates; it needs no closed
-        # form, so its closed-form cells read nan where beta != 1 or the
-        # coefficients overflow
-        from .charging import ChargingSpec
-
+        # only the oracle reads --mode; it needs no closed form, so its
+        # closed-form cells read nan where beta != 1 or the coefficients
+        # overflow
         w_max = oracle_peak(p, ChargingSpec(omega, q["mode"]))
         try:
             c = work_coefficients(p)
@@ -391,7 +390,7 @@ def _work_curve_columns(p: SpinParams, omega: float, mode: str,
         times = sample_times(t_max, samples)
         oracle = cosine_work((omega / 2.0, omega), dynamics_coefficients(p), times)
     else:
-        from .charging import ChargingSpec, work_series
+        from .charging import work_series
 
         times, oracle = work_series(p, ChargingSpec(omega, mode), t_max=t_max, n=samples)
     try:

@@ -1,4 +1,4 @@
-"""Battery parameters and the scalar helpers the closed forms share.
+"""Battery and drive parameters and the scalar helpers the closed forms share.
 
 Only `math` and `dataclasses` are imported here, so the closed-form
 commands can validate and evaluate their inputs without loading numpy.
@@ -58,3 +58,16 @@ def check_omega(omega: float) -> None:
     if not (math.isfinite(omega) and omega > 0 and math.isfinite(2.0 * math.pi / omega)):
         raise ValueError("omega must be positive and finite, with a finite period "
                          f"2*pi/omega, got {omega!r}")
+
+
+@dataclass(frozen=True)
+class ChargingSpec:
+    """Drive strength and choice of propagation generator."""
+
+    omega: float
+    mode: str = "charging-only"
+
+    def __post_init__(self) -> None:
+        check_omega(self.omega)
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")

@@ -26,7 +26,6 @@ from xyzbattery.analytics import (
     work_coefficients,
 )
 from xyzbattery.charging import (
-    ChargingSpec,
     build_charging_hamiltonian,
     ergotropy,
     evolve,
@@ -42,6 +41,7 @@ from xyzbattery.model import (
     eta_value,
     gibbs_state,
 )
+from xyzbattery.params import ChargingSpec
 
 DRIVE = ChargingSpec(omega=1.0)
 

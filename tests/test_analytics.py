@@ -28,10 +28,10 @@ from xyzbattery.analytics import (
     large_B_asymptote,
     max_work,
     oracle_peak,
+    two_harmonic_max,
     work_coefficients,
 )
 from xyzbattery.charging import (
-    ChargingSpec,
     evolve,
     propagator,
     work_curve,
@@ -46,7 +46,7 @@ from xyzbattery.model import (
     gibbs_state,
     thermal_elements,
 )
-from xyzbattery.params import MODES
+from xyzbattery.params import MODES, ChargingSpec
 
 # frozen: 50-digit evaluations at J=0.2, Jz=0.2, gamma=0.5, B=1, beta=1
 A_FIG1 = 1.6845720536056897308
@@ -520,6 +520,97 @@ class TestDynamicsCoefficients:
     def test_overflowed_energy_is_bad_input(self):
         with pytest.raises(ValueError, match="dynamics coefficients overflowed"):
             dynamics_coefficients(SpinParams(J=1.5e308, Jz=-1.5e308, gamma=0.5, B=1.0))
+
+
+# evenly spaced samples over one drive period in the dense peak check
+_PEAK_SAMPLES = 2048
+
+
+def _propagated_work(p: SpinParams, spec: ChargingSpec, times) -> list[float]:
+    """W at each time from propagator + evolve, independent of work_curve."""
+    h = build_total_hamiltonian(p)
+    rho0 = gibbs_state(p, method="oracle")
+    e0 = expectation(h, rho0)
+    return [expectation(h, evolve(rho0, propagator(p, spec, float(t)))) - e0
+            for t in times]
+
+
+class TestTwoHarmonicMax:
+    """The charging-only peak is exact: the signal's value at its stationary
+    phases, bracketed by dense sampling within the curvature bound."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300, database=None)
+    @given(values=_DRIVE_PARAMS, beta=st.one_of(st.just(1.0), _BETA))
+    def test_is_the_largest_stationary_value(self, values, beta):
+        a_dyn, b_dyn = dynamics_coefficients(SpinParams(*values, beta=beta))
+        assert two_harmonic_max(a_dyn, b_dyn) == two_harmonic_extremes(a_dyn, b_dyn)[1]
+
+    @settings(derandomize=True, deadline=None, max_examples=300, database=None)
+    @given(st.one_of(_BOX, _BOUNDARY, _TINY_B))
+    def test_serves_the_printed_amplitudes_alike(self, ab):
+        assert two_harmonic_max(*ab) == two_harmonic_extremes(*ab)[1]
+
+    @pytest.mark.parametrize("a, b", [(0.0, 0.0), (0.0, -0.0), (-0.0, 0.0)])
+    def test_flat_signal_peaks_at_zero(self, a, b):
+        assert format(two_harmonic_max(a, b), ".17g") == "0"
+
+    @pytest.mark.parametrize("beta_one", [True, False], ids=["beta-1", "beta-other"])
+    @settings(derandomize=True, deadline=None, max_examples=20, database=None)
+    @given(values=_DRIVE_PARAMS, beta=_BETA, omega=st.floats(0.25, 3.0))
+    def test_oracle_peak_brackets_dense_sampling(self, beta_one, values, beta, omega):
+        p = SpinParams(*values, beta=1.0 if beta_one else beta)
+        spec = ChargingSpec(omega=omega)
+        a_dyn, b_dyn = dynamics_coefficients(p)
+        times = np.linspace(0.0, 2.0 * math.pi / omega, _PEAK_SAMPLES, endpoint=False)
+        step = 2.0 * math.pi / _PEAK_SAMPLES  # in phase omega*t
+        peak = oracle_peak(p, spec)
+        slack = 1e-12 * max(1.0, abs(peak))
+        curvature = (abs(a_dyn) + 4.0 * abs(b_dyn)) * step ** 2 / 8.0
+        for sampled in (float(np.max(work_curve(p, spec)(times))),
+                        max(_propagated_work(p, spec, times))):
+            assert peak >= sampled - slack, (p, omega)
+            assert peak - sampled <= curvature + slack, (p, omega)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, -1.0])
+    def test_oracle_peak_of_a_bare_battery_is_zero(self, gamma):
+        p = SpinParams(J=0.0, Jz=0.0, gamma=gamma, B=0.0)
+        for omega in (0.3, 1.0, 1e308):
+            peak = oracle_peak(p, ChargingSpec(omega=omega))
+            assert type(peak) is float and format(peak, ".17g") == "0"
+
+
+def _capacity(p: SpinParams) -> tuple[float, float]:
+    """(C, max |E|): C = sum_k p_k (E_{5-k} - E_k) with the Gibbs populations
+    p_k descending and the energies E_k ascending, the anti-passive energy
+    minus the passive one, from numpy's eigvalsh."""
+    energies = np.linalg.eigvalsh(build_total_hamiltonian(p))
+    populations = np.linalg.eigvalsh(gibbs_state(p, method="oracle"))[::-1]
+    return (float(np.dot(populations, energies[::-1] - energies)),
+            float(np.max(np.abs(energies))))
+
+
+class TestCapacity:
+    """Charging is unitary from a passive (Gibbs) state, so every oracle's
+    stored work lies in [0, C], C the battery's capacity."""
+
+    @pytest.mark.parametrize("beta_one", [True, False], ids=["beta-1", "beta-other"])
+    @settings(derandomize=True, deadline=None, max_examples=150, database=None)
+    @given(values=_DRIVE_PARAMS, beta=_BETA, omega=st.floats(0.25, 3.0))
+    def test_every_oracle_stays_within_capacity(self, beta_one, values, beta, omega):
+        p = SpinParams(*values, beta=1.0 if beta_one else beta)
+        capacity, scale = _capacity(p)
+        tol = 1e-12 * max(1.0, scale)
+        times = np.linspace(0.0, 4.0 * math.pi / omega, 97)
+        for mode in MODES:
+            spec = ChargingSpec(omega=omega, mode=mode)
+            values_by_oracle = {
+                "work_curve": work_curve(p, spec)(times).tolist(),
+                "propagator": _propagated_work(p, spec, times[::8]),
+                "oracle_peak": [oracle_peak(p, spec)],
+            }
+            for oracle, works in values_by_oracle.items():
+                assert min(works) >= -tol, (p, omega, mode, oracle)
+                assert max(works) <= capacity + tol, (p, omega, mode, oracle)
 
 
 def _dynamics_coefficients_mp(mp, p: SpinParams) -> tuple[float, float]:

@@ -10,7 +10,6 @@ import pytest
 from conftest import FIG1_PARAMS, draw_params, expm_taylor, random_density
 from xyzbattery.analytics import harmonic_fit, sample_times, work_coefficients
 from xyzbattery.charging import (
-    ChargingSpec,
     build_charging_hamiltonian,
     ergotropy,
     evolve,
@@ -29,7 +28,7 @@ from xyzbattery.linalg import (
     unitary_exp,
 )
 from xyzbattery.model import SpinParams, build_total_hamiltonian, gibbs_state
-from xyzbattery.params import MODES
+from xyzbattery.params import MODES, ChargingSpec
 
 # frozen: 50-digit 2*B^2*sinh(eta)/d at J=0.2, Jz=0.2, gamma=0.5, B=1
 W_HALF_PERIOD_FIG1 = 0.84228602680284486539

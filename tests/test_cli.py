@@ -29,9 +29,9 @@ from xyzbattery.analytics import (
     sample_times,
     work_coefficients,
 )
-from xyzbattery.charging import ChargingSpec, work_curve
+from xyzbattery.charging import work_curve
 from xyzbattery.model import SpinParams
-from xyzbattery.params import MODES
+from xyzbattery.params import MODES, ChargingSpec
 
 FIG1_FLAGS = ["--J", "0.2", "--Jz", "0.2", "--gamma", "0.5", "--B", "1"]
 
@@ -1034,10 +1034,20 @@ class TestOracleSweepWithoutClosedForm:
             assert math.isfinite(w_max) and w_max >= -1e-12
             assert abs(w_max - exact) <= 1e-9 * max(1.0, exact)
 
+    def test_bare_battery_row_peaks_at_zero(self, capsys):
+        # J = Jz = B = 0: both harmonics vanish, and the peak is exactly 0
+        code, out, err = run_cli(capsys, "sweep", "--quantity", "w_series_peak_oracle",
+                                 "--axis", "J", "--start", "0", "--stop", "1", "--steps",
+                                 "3", "--Jz", "0", "--gamma", "0", "--B", "0")
+        assert code == 0 and err == ""
+        _, rows = parse_csv(out)
+        assert [r["J"] for r in rows] == ["0", "0.5", "1"]
+        assert rows[0]["w_max"] == "0"
+
 
 class TestHugeDrive:
-    """At a drive near the largest float the oracle's half-gaps stay finite,
-    where the gap 2*omega would overflow."""
+    """At a drive near the largest float the oracle's half-gaps and the fit's
+    phases stay finite, where the gap 2*omega would overflow."""
 
     @pytest.mark.parametrize("mode", ["charging-only", "full"])
     def test_work_exits_0(self, capsys, mode):
@@ -1054,6 +1064,15 @@ class TestHugeDrive:
             assert code == 0
             columns.append([float(r["W_oracle"]) for r in parse_csv(out)[1]])
         assert np.max(np.abs(np.subtract(*columns))) <= 1e-12
+
+    @pytest.mark.parametrize("omega", ["9e307", "1.7e308"])
+    def test_report_exits_0_with_finite_cells(self, capsys, omega):
+        code, out, err = run_cli(capsys, "report", *FIG1_FLAGS, "--omega", omega)
+        assert code == 0 and err == ""
+        header, rows = parse_csv(out)
+        assert [r["mode"] for r in rows] == list(MODES)
+        for r in rows:
+            assert all(math.isfinite(float(r[k])) for k in header if k != "mode"), r
 
 
 class TestUnwritableOut:
@@ -1162,13 +1181,14 @@ _FUZZED = [("spectrum",), ("gibbs",), ("coeffs",), ("maxwork",), ("report",),
 @st.composite
 def _fuzzed_argv(draw) -> list:
     """A valid-looking argv: |J|, |Jz|, |B| log-spaced up to 1e3 or 0, |gamma| up
-    to 10, omega and beta in [1e-3, 1e3] (beta often 1); a sweep runs from its
-    axis's drawn value to that plus 1."""
+    to 10, omega and beta in [1e-3, 1e3] (beta often 1, omega sometimes near
+    the largest float, where 2*omega overflows); a sweep runs from its axis's
+    drawn value to that plus 1."""
     argv = list(draw(st.sampled_from(_FUZZED)))
     values = {"J": draw(_COUPLING), "Jz": draw(_COUPLING),
               "gamma": draw(st.one_of(st.just(0.0), st.floats(-10.0, 10.0))),
               "B": draw(_COUPLING), "beta": draw(st.one_of(st.just(1.0), _RATE)),
-              "omega": draw(_RATE)}
+              "omega": draw(st.one_of(_RATE, st.sampled_from((9e307, 1.7e308))))}
     axis = draw(st.sampled_from(cli.SWEEP_AXES)) if argv[0] == "sweep" else None
     if axis:
         argv += ["--axis", axis, f"--start={values[axis]!r}", f"--stop={values[axis] + 1!r}"]

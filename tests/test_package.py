@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 from xyzbattery import cli
 from xyzbattery.analytics import closed_form_work, work_coefficients
-from xyzbattery.charging import ChargingSpec, work_curve
-from xyzbattery.params import SpinParams
+from xyzbattery.charging import work_curve
+from xyzbattery.params import ChargingSpec, SpinParams
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -71,8 +71,13 @@ _HEAVY = ("numpy", "xyzbattery.linalg", "xyzbattery.model", "xyzbattery.charging
     (["figure", "1", "--samples", "5", "--out", "{tmp}"], False),
     (["figure", "3", *_PARAMS, "--omega", "1", "--B-values", "0,1", "--samples", "5",
       "--out", "{tmp}"], False),
+    (["sweep", *_PARAMS, "--axis", "B", "--start", "0", "--stop", "2", "--steps", "5",
+      "--quantity", "w_series_peak_oracle"], False),
+    (["sweep", *_PARAMS, "--axis", "B", "--start", "0", "--stop", "2", "--steps", "5",
+      "--quantity", "w_series_peak_oracle", "--mode", "full"], True),
 ], ids=["coeffs", "maxwork", "sweep-coefficients", "sweep-w_max_printed", "figure4",
-        "figure5", "help", "version", "work", "work-full", "figure1", "figure3"])
+        "figure5", "help", "version", "work", "work-full", "figure1", "figure3",
+        "sweep-oracle", "sweep-oracle-full"])
 def test_numpy_loads_only_where_a_command_computes_with_it(tmp_path, argv, numpy_loaded):
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     code = (
