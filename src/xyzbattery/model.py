@@ -13,18 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from .params import SpinParams, UnsupportedClosedFormError, eta_value, sinhc
-
-# |gamma*J| below this treats the |00>/|11> corner block as already diagonal
-DEGENERATE_CORNER_TOL = 1e-12
-
-# two-spin operators of the battery Hamiltonian, built once in the
-# |00>,|01>,|10>,|11> basis ordering (spin 1 is the left Kronecker factor)
-_XX = np.kron(SIGMA_X, SIGMA_X)
-_YY = np.kron(SIGMA_Y, SIGMA_Y)
-_ZZ = np.kron(SIGMA_Z, SIGMA_Z)
-_Z_TOTAL = np.kron(SIGMA_Z, IDENTITY_2) + np.kron(IDENTITY_2, SIGMA_Z)
 
 
 @dataclass(frozen=True)
@@ -33,8 +22,7 @@ class SpectralDecomposition:
 
     E1/E2 belong to the |01>/|10> exchange doublet, E3/E4 to the field-split
     |00>/|11> pair with splitting eta = sqrt(B^2 + (gamma*J)^2). n_plus and
-    n_minus are the corner-pair normalization constants; in the decoupled
-    gamma*J = 0 limit they reduce to the stored eigenvector's |11> amplitude.
+    n_minus are the |11> amplitudes of psi3 and psi4.
     """
 
     E1: float
@@ -76,17 +64,16 @@ class ThermalElements:
 
 
 def build_spin_hamiltonian(p: SpinParams) -> np.ndarray:
-    """Exchange part: (J/2)[(1+gamma) XX + (1-gamma) YY] + (Jz/2) ZZ."""
-    return (
-        (p.J / 2.0)
-        * ((1.0 + p.gamma) * _XX + (1.0 - p.gamma) * _YY)
-        + (p.Jz / 2.0) * _ZZ
-    )
+    """Exchange part (J/2)[(1+gamma) XX + (1-gamma) YY] + (Jz/2) ZZ, by its
+    elements in the |00>,|01>,|10>,|11> basis."""
+    d, g = p.Jz / 2.0, p.gamma * p.J
+    return np.array([[d, 0, 0, g], [0, -d, p.J, 0], [0, p.J, -d, 0], [g, 0, 0, d]],
+                    dtype=complex)
 
 
 def build_field_hamiltonian(p: SpinParams) -> np.ndarray:
     """Uniform z field: (B/2)(Z1 + Z2) = diag(B, 0, 0, -B)."""
-    return (p.B / 2.0) * _Z_TOTAL
+    return np.diag(np.array([p.B, 0.0, 0.0, -p.B], dtype=complex))
 
 
 def build_total_hamiltonian(p: SpinParams) -> np.ndarray:
@@ -98,12 +85,13 @@ def closed_form_spectrum(p: SpinParams) -> SpectralDecomposition:
     """Exact eigenpairs of the total Hamiltonian, labelled by sector.
 
     The exchange doublet is E_{1,2} = (-Jz +/- 2J)/2 with (+-|01> + |10>)/sqrt(2).
-    The corner pair is E_{3,4} = Jz/2 +/- eta with amplitudes proportional to
-    ((B +/- eta)/(gamma*J), 1) on (|00>, |11>). When |gamma*J| < 1e-12 the
-    corner block is diagonal and the basis states themselves are returned,
-    with the B sign deciding which state carries Jz/2 + eta. Raises
-    ValueError when an energy is not finite or a corner vector is not a
-    finite unit vector, as happens when an energy or ratio overflows.
+    The corner pair is E_{3,4} = Jz/2 +/- eta on (|00>, |11>), rotated by one
+    half angle: with c = sqrt((1 + |B|/eta)/2) and s = (|gamma*J|/eta)/(2c)
+    (c = 1, s = 0 at eta = 0), psi3 = (+-c, s) and psi4 = (-+s, c) for
+    B >= 0, psi3 = (+-s, c) and psi4 = (-+c, s) for B < 0. The upper sign
+    holds where gamma*J > 0, or gamma*J = 0 and B >= 0, so each |11>
+    amplitude is >= 0 and a decoupled block keeps its basis states. Raises
+    ValueError when an energy is not finite.
     """
     eta = eta_value(p)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
@@ -113,37 +101,19 @@ def closed_form_spectrum(p: SpinParams) -> SpectralDecomposition:
     e2 = (-p.Jz - 2.0 * p.J) / 2.0
     e3 = p.Jz / 2.0 + eta
     e4 = p.Jz / 2.0 - eta
-
-    ket00 = np.array([1, 0, 0, 0], dtype=complex)
-    ket11 = np.array([0, 0, 0, 1], dtype=complex)
-    corner = p.gamma * p.J
-    if abs(corner) < DEGENERATE_CORNER_TOL:
-        if p.B >= 0:
-            psi3, psi4 = ket00, ket11
-            n_plus, n_minus = 0.0, 1.0
-        else:
-            psi3, psi4 = ket11, ket00
-            n_plus, n_minus = 1.0, 0.0
-    else:
-        # amplitude ratios rewritten to avoid the B -/+ eta cancellation
-        if p.B >= 0:
-            r_plus = (p.B + eta) / corner
-            r_minus = -corner / (p.B + eta)
-        else:
-            r_plus = corner / (eta - p.B)
-            r_minus = (p.B - eta) / corner
-        n_plus = 1.0 / math.sqrt(r_plus * r_plus + 1.0)
-        n_minus = 1.0 / math.sqrt(r_minus * r_minus + 1.0)
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            psi3 = n_plus * (r_plus * ket00 + ket11)
-            psi4 = n_minus * (r_minus * ket00 + ket11)
-    # an overflowed energy or amplitude ratio leaves inf, nan or a zero vector
-    unit = all(abs(np.linalg.norm(psi) - 1.0) <= 1e-12 for psi in (psi3, psi4))
-    if not (unit and all(map(math.isfinite, (e1, e2, e3, e4)))):
+    if not all(map(math.isfinite, (e1, e2, e3, e4))):
         raise ValueError(f"closed-form spectrum overflowed for {p!r}")
 
+    corner = p.gamma * p.J
+    c = math.sqrt((1.0 + abs(p.B) / eta) / 2.0) if eta else 1.0
+    s = (abs(corner) / eta) / (2.0 * c) if eta else 0.0
+    sign = 1.0 if corner > 0 or (corner == 0 and p.B >= 0) else -1.0
+    u, v = (c, s) if p.B >= 0 else (s, c)
+    psi3 = np.array([sign * u, 0, 0, v], dtype=complex)
+    psi4 = np.array([-sign * v, 0, 0, u], dtype=complex)
+
     return SpectralDecomposition(
-        E1=e1, E2=e2, E3=e3, E4=e4, eta=eta, n_plus=n_plus, n_minus=n_minus,
+        E1=e1, E2=e2, E3=e3, E4=e4, eta=eta, n_plus=v, n_minus=u,
         psi1=psi1, psi2=psi2, psi3=psi3, psi4=psi4,
     )
 

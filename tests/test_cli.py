@@ -608,8 +608,6 @@ class TestOverflowExits2:
         ("spectrum", "--J", "1e300", "--Jz", "1e300", "--gamma", "1", "--B", "1e300"),
         ("coeffs", "--J", "0", "--Jz", "700", "--gamma", "0", "--B", "700"),
         ("spectrum", "--J", "1e308", "--Jz", "1e308", "--gamma", "1", "--B", "1e308"),
-        ("spectrum", "--J", "1e-11", "--Jz", "0", "--gamma", "1", "--B", "1e300"),
-        ("spectrum", "--J", "1e-11", "--Jz", "0", "--gamma", "1", "--B", "1e150"),
         ("work", "--J", "0.2", "--Jz", "0.2", "--gamma", "0.5", "--B", "1",
          "--t-max", "1e308", "--samples", "3"),
         ("figure", "1", "--t-max", "1e308", "--samples", "3"),
@@ -617,13 +615,31 @@ class TestOverflowExits2:
          "--mode", "full", "--t-max", "1e306", "--samples", "3"),
     ], ids=["coeffs-B", "maxwork-Jz", "gibbs-B", "gibbs-product",
             "sweep-B", "spectrum-residual", "coeffs-b1", "spectrum-energies",
-            "spectrum-ratio", "spectrum-zero-vector", "work-t_max", "figure1-t_max",
-            "work-full-t_max"])
+            "work-t_max", "figure1-t_max", "work-full-t_max"])
     def test_overflow_exits_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "overflowed" in err
+
+
+class TestSpectrumAtFieldsFarAboveGammaJ:
+    """A field many decades above gamma*J leaves every spectrum cell finite,
+    with unit corner vectors and residuals at the rounding level."""
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--J", "1e-11", "--Jz", "0", "--gamma", "1", "--B", "1e300"),
+        ("spectrum", "--J", "1e-11", "--Jz", "0", "--gamma", "1", "--B", "1e150"),
+    ], ids=["spectrum-ratio", "spectrum-zero-vector"])
+    def test_exits_0_with_finite_cells(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert not set(re.split(r"[,\n]", out)) & {"inf", "-inf", "nan"}
+        _, rows = parse_csv(out)
+        scale = max(abs(float(r["E_numeric"])) for r in rows)
+        for r in rows:
+            assert float(r["vector_residual"]) <= 1e-10 * scale
+            assert float(r["N_plus"]) ** 2 + float(r["N_minus"]) ** 2 == 1.0
 
 
 class TestStrictJson:
@@ -1181,12 +1197,13 @@ _FUZZED = [("spectrum",), ("gibbs",), ("coeffs",), ("maxwork",), ("report",),
 @st.composite
 def _fuzzed_argv(draw) -> list:
     """A valid-looking argv: |J|, |Jz|, |B| log-spaced up to 1e3 or 0, |gamma| up
-    to 10, omega and beta in [1e-3, 1e3] (beta often 1, omega sometimes near
-    the largest float, where 2*omega overflows); a sweep runs from its axis's
-    drawn value to that plus 1."""
+    to 10 or one of +-1.7e308 and +-5e-13, omega and beta in [1e-3, 1e3] (beta
+    often 1, omega sometimes near the largest float, where 2*omega overflows);
+    a sweep runs from its axis's drawn value to that plus 1."""
     argv = list(draw(st.sampled_from(_FUZZED)))
     values = {"J": draw(_COUPLING), "Jz": draw(_COUPLING),
-              "gamma": draw(st.one_of(st.just(0.0), st.floats(-10.0, 10.0))),
+              "gamma": draw(st.one_of(st.just(0.0), st.floats(-10.0, 10.0),
+                                      st.sampled_from((-1.7e308, 1.7e308, 5e-13, -5e-13)))),
               "B": draw(_COUPLING), "beta": draw(st.one_of(st.just(1.0), _RATE)),
               "omega": draw(st.one_of(_RATE, st.sampled_from((9e307, 1.7e308))))}
     axis = draw(st.sampled_from(cli.SWEEP_AXES)) if argv[0] == "sweep" else None

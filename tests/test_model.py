@@ -6,9 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIG1_PARAMS, draw_params
-from xyzbattery.linalg import hermitian_eig, is_hermitian
+from xyzbattery.linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, hermitian_eig, is_hermitian
 from xyzbattery.model import (
     SpinParams,
     UnsupportedClosedFormError,
@@ -49,7 +51,56 @@ class TestSpinParams:
         assert SpinParams(J=0.1, Jz=0.1, gamma=0.0, B=1.0).beta == 1.0
 
 
+# the test box (|J|, |Jz| <= 2, |gamma| <= 1, |B| <= 5) without magnitudes
+# below 1e-3, so that the scaled products below stay normal floats
+_MAGNITUDE = st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3))
+_BOX = st.builds(lambda j, jz, g, b: SpinParams(J=2.0 * j, Jz=2.0 * jz, gamma=g, B=5.0 * b),
+                 _MAGNITUDE, _MAGNITUDE, _MAGNITUDE, _MAGNITUDE)
+# gamma and B scaled down together by 10^-k
+_SCALED = st.builds(lambda p, k: SpinParams(J=p.J, Jz=p.Jz, gamma=p.gamma * 10.0 ** -k,
+                                            B=p.B * 10.0 ** -k), _BOX, st.integers(0, 15))
+# gamma alone scaled down to 1e-16, and |gamma| near the largest double at J = 0
+_TINY_GAMMA = st.builds(lambda p, k: SpinParams(J=p.J, Jz=p.Jz, gamma=p.gamma * 10.0 ** -k,
+                                                B=p.B), _BOX, st.integers(0, 16))
+_HUGE_GAMMA = st.builds(lambda jz, g, b: SpinParams(J=0.0, Jz=jz, gamma=g, B=b),
+                        st.floats(-2.0, 2.0), st.sampled_from((-1.7e308, 1.7e308)),
+                        st.floats(-5.0, 5.0))
+
+# |gamma*J| = 7.8e-13 beside B = 9.8e-10: the corner vectors are rotated by
+# about 4e-4 from the basis states
+ETA_ZERO_DRAW = SpinParams(J=1.6163012019522336, Jz=1.7620740963956187,
+                           gamma=-4.850149164504325e-13, B=9.79947212041931e-10,
+                           beta=3.2110913533689533)
+
+
+def _pauli_expansion(p: SpinParams) -> np.ndarray:
+    """(J/2)[(1+gamma) XX + (1-gamma) YY] + (Jz/2) ZZ + (B/2)(Z1 + Z2)."""
+    xx, yy, zz = (np.kron(s, s) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z))
+    z_total = np.kron(SIGMA_Z, IDENTITY_2) + np.kron(IDENTITY_2, SIGMA_Z)
+    return ((p.J / 2.0) * ((1.0 + p.gamma) * xx + (1.0 - p.gamma) * yy)
+            + (p.Jz / 2.0) * zz + (p.B / 2.0) * z_total)
+
+
 class TestHamiltonians:
+    @settings(derandomize=True, deadline=None, max_examples=300, database=None)
+    @given(st.one_of(_BOX, _TINY_GAMMA, _HUGE_GAMMA))
+    def test_builders_hold_the_exact_elements(self, p):
+        d, g = p.Jz / 2.0, p.gamma * p.J
+        expected = np.array([[d, 0, 0, g], [0, -d, p.J, 0], [0, p.J, -d, 0], [g, 0, 0, d]])
+        h = build_spin_hamiltonian(p)
+        assert h.dtype == complex and not h.imag.any()
+        assert np.array_equal(h.real, expected)
+        field = build_field_hamiltonian(p)
+        assert field.dtype == complex
+        assert np.array_equal(field, np.diag([p.B, 0.0, 0.0, -p.B]))
+
+    @settings(derandomize=True, deadline=None, max_examples=300, database=None)
+    @given(_BOX)
+    def test_matches_the_pauli_expansion(self, p):
+        h = build_total_hamiltonian(p)
+        scale = np.max(np.abs(h))
+        assert np.max(np.abs(h - _pauli_expansion(p))) <= 4 * np.finfo(float).eps * scale
+
     def test_zero_couplings_give_zero_exchange(self):
         p = SpinParams(J=0.0, Jz=0.0, gamma=0.7, B=3.0)
         assert np.array_equal(build_spin_hamiltonian(p), np.zeros((4, 4)))
@@ -150,6 +201,33 @@ class TestClosedFormSpectrum:
         assert abs(dec.E3 - 1.1) < 1e-15
         assert np.array_equal(dec.psi3, KET_11)
         assert np.array_equal(dec.psi4, KET_00)
+
+    @settings(derandomize=True, deadline=None, max_examples=400, database=None)
+    @given(_SCALED)
+    def test_corner_vectors_at_scaled_fields(self, p):
+        self._check_corner_vectors(p)
+
+    def test_corner_vectors_at_eta_zero_draw(self):
+        dec = self._check_corner_vectors(ETA_ZERO_DRAW)
+        assert abs(dec.n_plus - 3.9998583e-4) < 1e-11
+        assert abs(dec.n_minus - 0.99999992) < 1e-8
+
+    @staticmethod
+    def _check_corner_vectors(p):
+        dec = closed_form_spectrum(p)
+        g, eta = p.gamma * p.J, dec.eta
+        block = np.array([[p.B, g], [g, -p.B]])
+        for sign, psi in ((1.0, dec.psi3), (-1.0, dec.psi4)):
+            v = np.array([psi[0].real, psi[3].real])
+            assert not psi.imag.any() and psi[1] == psi[2] == 0
+            assert np.max(np.abs(block @ v - sign * eta * v)) <= 1e-14 * eta
+        assert abs(dec.n_plus ** 2 + dec.n_minus ** 2 - 1.0) <= 1e-15
+        assert (dec.n_plus, dec.n_minus) == (dec.psi3[3].real, dec.psi4[3].real)
+        if eta > 0:  # a degenerate block has no preferred eigenvectors
+            vectors = np.linalg.eigh(block)[1]  # columns for -eta, +eta
+            assert abs(dec.n_plus - abs(vectors[1, 1])) <= 1e-14
+            assert abs(dec.n_minus - abs(vectors[1, 0])) <= 1e-14
+        return dec
 
     def test_matches_numerical_diagonalization(self):
         rng = np.random.default_rng(37)
