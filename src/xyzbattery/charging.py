@@ -85,12 +85,11 @@ def work_curve(p: SpinParams, spec: ChargingSpec) -> WorkCurve:
         return WorkCurve(half_gaps=np.array([spec.omega / 2.0, spec.omega]),
                          amplitudes=np.array(dynamics_coefficients(p)))
     h = build_total_hamiltonian(p)
-    eig = hermitian_eig(h + build_charging_hamiltonian(spec.omega))
-    v = eig.eigenvectors
+    values, v = hermitian_eig(h + build_charging_hamiltonian(spec.omega))
     v_dag = v.conj().T
     rho0 = gibbs_state(p, method="oracle")
     weights = (v_dag @ h @ v).T * (v_dag @ rho0 @ v)
-    half = eig.eigenvalues / 2.0
+    half = values / 2.0
     j, k = np.triu_indices(half.size, 1)
     return WorkCurve(half_gaps=half[k] - half[j], amplitudes=-2.0 * weights.real[j, k])
 
@@ -108,8 +107,8 @@ def passive_state(rho: np.ndarray, h: np.ndarray) -> np.ndarray:
     Pairs rho's eigenvalues, sorted descending, with h's eigenvectors sorted
     by ascending eigenvalue.
     """
-    populations = hermitian_eig(rho).eigenvalues[::-1]
-    vectors = hermitian_eig(h).eigenvectors
+    populations = hermitian_eig(rho)[0][::-1]
+    vectors = hermitian_eig(h)[1]
     return (vectors * populations) @ vectors.conj().T
 
 

@@ -264,14 +264,18 @@ def _cmd_spectrum(ns) -> list:
     p = _spin(vars(ns))
     dec = closed_form_spectrum(p)
     h = build_total_hamiltonian(p)
-    numeric = hermitian_eig(h).eigenvalues
+    numeric = hermitian_eig(h)[0]
     labelled = np.array(dec.labelled_energies)
     ascending = np.argsort(labelled, kind="stable")
     e_numeric = np.empty(4)
     e_numeric[ascending] = numeric
-    with np.errstate(over="ignore", invalid="ignore"):
-        residuals = np.array([np.linalg.norm(h @ psi - energy * psi)
-                              for energy, psi in zip(dec.labelled_energies, dec.labelled_vectors)])
+    residuals = np.empty(4)
+    for i, (energy, psi) in enumerate(zip(dec.labelled_energies, dec.labelled_vectors)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = (h @ psi - energy * psi).view(float)
+        # a power-of-two rescale is exact, so the norm's squares cannot overflow
+        k = np.frexp(np.max(np.abs(r)))[1]
+        residuals[i] = np.ldexp(np.linalg.norm(np.ldexp(r, -k).view(complex)), k)
     if not np.isfinite(residuals).all():
         raise ValueError(f"vector residual overflowed for {p!r}")
     return [np.arange(1, 5), labelled, e_numeric, residuals,

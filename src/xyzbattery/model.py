@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import hermitian_eig
 from .params import SpinParams, UnsupportedClosedFormError, eta_value, sinhc
 
 
@@ -65,8 +66,10 @@ class ThermalElements:
 
 def build_spin_hamiltonian(p: SpinParams) -> np.ndarray:
     """Exchange part (J/2)[(1+gamma) XX + (1-gamma) YY] + (Jz/2) ZZ, by its
-    elements in the |00>,|01>,|10>,|11> basis."""
+    elements in the |00>,|01>,|10>,|11> basis; ValueError where gamma*J overflows."""
     d, g = p.Jz / 2.0, p.gamma * p.J
+    if not math.isfinite(g):
+        raise ValueError(f"spin Hamiltonian element gamma*J overflowed for {p!r}")
     return np.array([[d, 0, 0, g], [0, -d, p.J, 0], [0, p.J, -d, 0], [g, 0, 0, d]],
                     dtype=complex)
 
@@ -168,8 +171,7 @@ def gibbs_state(p: SpinParams, method: str = "oracle") -> np.ndarray:
         )
         return rho / t.Z
     if method == "oracle":
-        h = build_total_hamiltonian(p)
-        values, vectors = np.linalg.eigh(h)
+        values, vectors = hermitian_eig(build_total_hamiltonian(p))
         # the shift keeps every weight <= 1; a product that overflows to -inf
         # gives the weight e^-inf = 0, its limit
         with np.errstate(over="ignore"):

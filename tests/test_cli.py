@@ -605,7 +605,6 @@ class TestOverflowExits2:
         ("gibbs", "--J", "0.2", "--Jz", "-10", "--gamma", "0.5", "--B", "709"),
         ("sweep", "--axis", "B", "--start", "0", "--stop", "1000", "--steps", "11",
          "--quantity", "w_max_printed", "--J", "0.2", "--Jz", "0.2", "--gamma", "0.5"),
-        ("spectrum", "--J", "1e300", "--Jz", "1e300", "--gamma", "1", "--B", "1e300"),
         ("coeffs", "--J", "0", "--Jz", "700", "--gamma", "0", "--B", "700"),
         ("spectrum", "--J", "1e308", "--Jz", "1e308", "--gamma", "1", "--B", "1e308"),
         ("work", "--J", "0.2", "--Jz", "0.2", "--gamma", "0.5", "--B", "1",
@@ -613,24 +612,34 @@ class TestOverflowExits2:
         ("figure", "1", "--t-max", "1e308", "--samples", "3"),
         ("work", "--J", "0.2", "--Jz", "500", "--gamma", "0.5", "--B", "1",
          "--mode", "full", "--t-max", "1e306", "--samples", "3"),
+        ("gibbs", "--J", "1.95", "--Jz", "0", "--gamma", "1.7e308", "--B", "0"),
+        ("work", "--J", "1.95", "--Jz", "0", "--gamma", "1.7e308", "--B", "0",
+         "--mode", "full"),
     ], ids=["coeffs-B", "maxwork-Jz", "gibbs-B", "gibbs-product",
-            "sweep-B", "spectrum-residual", "coeffs-b1", "spectrum-energies",
-            "work-t_max", "figure1-t_max", "work-full-t_max"])
+            "sweep-B", "coeffs-b1", "spectrum-energies",
+            "work-t_max", "figure1-t_max", "work-full-t_max", "gibbs-gamma_J",
+            "work-full-gamma_J"])
     def test_overflow_exits_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "overflowed" in err
+        if "1.7e308" in argv:  # the oracle's eigensolver never sees the inf
+            assert "gamma*J overflowed for SpinParams(" in err
 
 
 class TestSpectrumAtFieldsFarAboveGammaJ:
     """A field many decades above gamma*J leaves every spectrum cell finite,
-    with unit corner vectors and residuals at the rounding level."""
+    with unit corner vectors and residuals at the rounding level; so do
+    couplings whose residuals square past the largest double."""
 
     @pytest.mark.parametrize("argv", [
         ("spectrum", "--J", "1e-11", "--Jz", "0", "--gamma", "1", "--B", "1e300"),
         ("spectrum", "--J", "1e-11", "--Jz", "0", "--gamma", "1", "--B", "1e150"),
-    ], ids=["spectrum-ratio", "spectrum-zero-vector"])
+        ("spectrum", "--J", "1e300", "--Jz", "1e300", "--gamma", "1", "--B", "1e300"),
+        ("spectrum", "--J=-3.865e-67", "--Jz=5e-324", "--gamma=-1.7e308", "--B=3.3e-202"),
+    ], ids=["spectrum-ratio", "spectrum-zero-vector", "spectrum-residual",
+            "spectrum-residual-gamma"])
     def test_exits_0_with_finite_cells(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err

@@ -233,7 +233,7 @@ class TestClosedFormSpectrum:
         rng = np.random.default_rng(37)
         for _ in range(1000):
             p = draw_params(rng)
-            numeric = hermitian_eig(build_total_hamiltonian(p)).eigenvalues
+            numeric, _ = hermitian_eig(build_total_hamiltonian(p))
             closed = np.sort(closed_form_spectrum(p).labelled_energies)
             assert np.max(np.abs(numeric - closed)) < 1e-10
 
@@ -332,3 +332,13 @@ class TestGibbsState:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             gibbs_state(FIG1_PARAMS, method="magic")
+
+    def test_oracle_is_numpy_spectral_sum_to_the_bit(self):
+        # the checked eigensolver hands back numpy's eigenpairs unchanged
+        rng = np.random.default_rng(59)
+        for _ in range(200):
+            p = draw_params(rng, beta=float(rng.choice([1.0, 0.3, 4.0])))
+            values, vectors = np.linalg.eigh(build_total_hamiltonian(p))
+            weights = np.exp(-p.beta * (values - values.min()))
+            expected = (vectors * weights) @ vectors.conj().T / weights.sum()
+            assert np.array_equal(gibbs_state(p, method="oracle"), expected)

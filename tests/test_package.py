@@ -4,6 +4,7 @@ lists every module."""
 
 from __future__ import annotations
 
+import ast
 import math
 import os
 import re
@@ -113,6 +114,19 @@ def test_list_columns_print_the_array_bytes(J, Jz, gamma, B, omega, periods, sam
     columns = ("t", "W_closed", "W_oracle")
     assert (cli._render_csv(columns, [times, closed, oracle])
             == cli._render_csv(columns, arrays))
+
+
+def test_one_eigensolver_call_in_src():
+    # every eigendecomposition goes through the checked linalg.hermitian_eig
+    solvers = {"eig", "eigh", "eigvals", "eigvalsh"}
+    found = []
+    for path in sorted((SRC / "xyzbattery").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in solvers:
+                found.append((path.name, ast.unparse(node)))
+            elif isinstance(node, ast.ImportFrom) and node.module and "linalg" in node.module:
+                found += [(path.name, a.name) for a in node.names if a.name in solvers]
+    assert found == [("linalg.py", "np.linalg.eigh")]
 
 
 def test_readme_layout_names_every_module():
